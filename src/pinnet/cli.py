@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 from .errors import DivergenceError, PinnetError, ScenarioDefinitionError
-from .harness import ComparisonReport, run_comparison, run_scenario, sweep
+from .harness import (
+    ComparisonReport, run_comparison, run_scenario, run_scenarios, sweep, write_report,
+)
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
 from .spectral import controlled_spectrum, eig_symmetric
@@ -139,7 +141,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioDefinitionError(
             f"--values expects comma-separated numbers, got {args.values!r}"
         ) from exc
-    report = sweep(scenario, args.vary, values, out_dir=args.out)
+    report = sweep(scenario, args.vary, values, out_dir=args.out, full_states=args.full)
     print(report.to_table_text(), end="")
     return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
 
@@ -150,20 +152,9 @@ def _cmd_reproduce(args) -> int:
         raise ScenarioDefinitionError(
             f"unknown family {args.family!r}; choose from {', '.join(sorted(FAMILIES))}"
         )
-    rows = []
-    for name in names:
-        scenario = _apply_overrides(get_scenario(name), args)
-        rows.append(
-            run_scenario(
-                scenario, out_dir=args.out, simulate=not args.cf_only,
-                full_states=args.full,
-            )
-        )
-    report = ComparisonReport(tuple(sorted(rows, key=lambda r: r.name)))
-    if args.out is not None:
-        out = Path(args.out)
-        (out / f"{args.family}.report.csv").write_text(report.to_csv_text())
-        (out / f"{args.family}.report.txt").write_text(report.to_table_text())
+    scenarios = [_apply_overrides(get_scenario(name), args) for name in names]
+    rows = run_scenarios(scenarios, args.out, not args.cf_only, args.full)
+    report = write_report(rows, args.out, f"{args.family}.report")
     print(report.to_table_text(), end="")
     return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
 

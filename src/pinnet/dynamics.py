@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "linear_field",
     "network_rhs",
     "integrate_rk4",
+    "integrate_batch",
     "sync_error",
     "sync_time",
     "mode_matrix",
@@ -178,10 +179,40 @@ class SimulationResult:
     """Recorded trajectory, per-step synchronization error, and plan cost."""
 
     times: np.ndarray
-    states: np.ndarray
+    states: Optional[np.ndarray]  # None unless per-node states were recorded
     error_metric: np.ndarray
     cf: float
     sync_time: Optional[float] = dataclass_field(default=None)
+
+
+def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan]) -> Callable:
+    """network_rhs on a (B, N, n) batch of states, member b under plans[b].
+
+    A member adds coupling only if its c != 0 and feedback only if it also
+    pins a node, so its arithmetic does not depend on its batch mates.
+    """
+    c = np.array([p.coupling_strength for p in plans])[:, None, None]
+    eps = np.array([p.gains for p in plans], dtype=float)[:, :, None]
+    A, gamma, target, field = sys.coupling, sys.gamma, sys.target, sys.dynamics.field
+
+    def members(mask: np.ndarray):  # None: no member, True: every member
+        return None if not mask.any() else True if mask.all() else mask
+
+    coupled = members(c != 0.0)
+    pinned = members((c != 0.0) & np.any(eps != 0.0, axis=1, keepdims=True))
+
+    def pick(mask, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        return new if mask is True else np.where(mask, new, old)
+
+    def rhs(X: np.ndarray, t: float) -> np.ndarray:
+        out = field(X, t)
+        if coupled is not None:
+            out = pick(coupled, out + c * (A @ X) * gamma, out)
+        if pinned is not None:
+            out = pick(pinned, out - c * eps * (gamma * (X - target)), out)
+        return out
+
+    return rhs
 
 
 def network_rhs(sys: NetworkSystem, X: np.ndarray, t: float) -> np.ndarray:
@@ -191,20 +222,99 @@ def network_rhs(sys: NetworkSystem, X: np.ndarray, t: float) -> np.ndarray:
         raise ContractViolationError(
             f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
         )
-    c = sys.plan.coupling_strength
-    out = sys.dynamics.field(X, t)
-    if c != 0.0:
-        out = out + c * (sys.coupling @ X) * sys.gamma
-        eps = sys.plan.gain_array()
-        if np.any(eps):
-            out = out - c * eps[:, None] * (sys.gamma * (X - sys.target))
-    return out
+    return _rhs(sys, [sys.plan])(X[None], t)[0]
+
+
+def _node_errors(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    diff = np.asarray(states, dtype=float) - np.asarray(target, dtype=float)
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def sync_error(states: np.ndarray, target: np.ndarray) -> float:
     """Largest Euclidean node deviation from the target state."""
-    diff = np.asarray(states, dtype=float) - np.asarray(target, dtype=float)
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
+    return float(np.max(_node_errors(states, target)))
+
+
+def integrate_batch(
+    sys: NetworkSystem,
+    plans: Sequence[PinningPlan],
+    X0: np.ndarray,
+    h: float,
+    T: float,
+    record_every: int = 1,
+    record_states: bool = True,
+) -> list:
+    """Fixed-step classical RK4 over [0, T] of B members of `sys` in one step loop.
+
+    Member b runs plans[b] from X0[b] (X0 is (B, N, n)), bit for bit as its
+    solo run, and must pass the guard h * (L_f + c * (|lambda_min(A)| + max
+    gain)) <= 2.5. Returns per member a SimulationResult recorded every
+    `record_every` steps (per-node states only if `record_states`), or, for a
+    member gone non-finite, its DivergenceError; the others run on.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise ContractViolationError(f"h must be positive and finite, got {h!r}")
+    if not (math.isfinite(T) and T >= h):
+        raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
+    if record_every < 1:
+        raise ContractViolationError("record_every must be >= 1")
+    shape = (len(plans), sys.n_nodes, sys.dynamics.dimension)
+    X = np.array(X0, dtype=float)
+    if X.shape != shape:
+        raise ContractViolationError(f"initial states shape {X.shape}, expected {shape}")
+    if any(p.n_nodes != sys.n_nodes for p in plans):
+        raise ContractViolationError(f"every plan must be on the system's {sys.n_nodes} nodes")
+
+    lam_min = None
+    for plan in plans:
+        c = plan.coupling_strength
+        stiffness = sys.dynamics.lipschitz
+        if c != 0.0:
+            if lam_min is None:
+                lam_min = eig_symmetric(sys.coupling).lambda_min
+            stiffness += c * (abs(lam_min) + max(plan.gains))
+        if h * stiffness > RK4_STABILITY_SPAN:
+            raise ContractViolationError(
+                f"step h={h:g} exceeds the stability guard "
+                f"{RK4_STABILITY_SPAN:g}/{stiffness:g} = {RK4_STABILITY_SPAN / stiffness:.3g}"
+            )
+
+    steps = int(round(T / h))
+    times = np.empty(steps // record_every + 1)
+    states = np.empty(times.shape + shape) if record_states else None
+    errors = np.empty(times.shape + shape[:1])
+    out: list = [None] * len(plans)
+    live = np.arange(len(plans))  # members still integrating
+    rhs = _rhs(sys, plans)
+    # Overflow is handled explicitly via the finiteness check, so numpy's
+    # warnings would only be noise on a member that is about to be dropped.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            if step:
+                t = (step - 1) * h
+                k1 = rhs(X, t)
+                k2 = rhs(X + 0.5 * h * k1, t + 0.5 * h)
+                k3 = rhs(X + 0.5 * h * k2, t + 0.5 * h)
+                k4 = rhs(X + h * k3, t + h)
+                X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.all(np.isfinite(X)):
+                    ok = np.all(np.isfinite(X), axis=(1, 2))
+                    for b in live[~ok]:
+                        out[b] = DivergenceError(step * h)
+                    X, live = X[ok], live[ok]
+                    if not len(live):
+                        return out
+                    rhs = _rhs(sys, [plans[b] for b in live])
+            if step % record_every == 0:
+                rec = step // record_every
+                times[rec] = step * h
+                if record_states:
+                    states[rec, live] = X
+                errors[rec, live] = _node_errors(X, sys.target).max(axis=-1)
+    for b in live:
+        b_states = states[:, b] if record_states else None
+        out[b] = SimulationResult(times, b_states, errors[:, b], cost(plans[b]))
+    return out
 
 
 def integrate_rk4(
@@ -213,70 +323,17 @@ def integrate_rk4(
     h: float,
     T: float,
     record_every: int = 1,
+    record_states: bool = True,
 ) -> SimulationResult:
-    """Fixed-step classical RK4 over [0, T], recording every `record_every` steps.
+    """Fixed-step classical RK4 of one system: integrate_batch with a batch of one.
 
-    Refuses steps outside the stability guard
-    h * (L_f + c * (|lambda_min(A)| + max gain)) <= 2.5, and raises
-    DivergenceError (with the blow-up time) if the state goes non-finite.
+    Raises DivergenceError (with the blow-up time) if the state goes non-finite.
     """
-    if h <= 0:
-        raise ContractViolationError("h must be positive")
-    if T < h:
-        raise ContractViolationError("T must be at least one step")
-    if record_every < 1:
-        raise ContractViolationError("record_every must be >= 1")
-    X = np.array(X0, dtype=float)
-    if X.shape != (sys.n_nodes, sys.dynamics.dimension):
-        raise ContractViolationError(
-            f"initial state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
-        )
-
-    c = sys.plan.coupling_strength
-    stiffness = sys.dynamics.lipschitz
-    if c != 0.0:
-        lam_min = eig_symmetric(sys.coupling).lambda_min
-        stiffness += c * (abs(lam_min) + max(sys.plan.gains))
-    if h * stiffness > RK4_STABILITY_SPAN:
-        raise ContractViolationError(
-            f"step h={h:g} exceeds the stability guard "
-            f"{RK4_STABILITY_SPAN:g}/{stiffness:g} = {RK4_STABILITY_SPAN / stiffness:.3g}"
-        )
-
-    steps = int(round(T / h))
-    n_records = steps // record_every + 1
-    times = np.empty(n_records)
-    states = np.empty((n_records, sys.n_nodes, sys.dynamics.dimension))
-    errors = np.empty(n_records)
-
-    def record(idx: int, t: float) -> None:
-        times[idx] = t
-        states[idx] = X
-        errors[idx] = sync_error(X, sys.target)
-
-    record(0, 0.0)
-    rec = 1
-    # Overflow is handled explicitly via the finiteness check, so numpy's
-    # warnings would only be noise on a run that is about to raise anyway.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            t = (step - 1) * h
-            k1 = network_rhs(sys, X, t)
-            k2 = network_rhs(sys, X + 0.5 * h * k1, t + 0.5 * h)
-            k3 = network_rhs(sys, X + 0.5 * h * k2, t + 0.5 * h)
-            k4 = network_rhs(sys, X + h * k3, t + h)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(X)):
-                raise DivergenceError(step * h)
-            if step % record_every == 0:
-                record(rec, step * h)
-                rec += 1
-    return SimulationResult(
-        times=times[:rec],
-        states=states[:rec],
-        error_metric=errors[:rec],
-        cf=cost(sys.plan),
-    )
+    X0 = np.asarray(X0, dtype=float)
+    (result,) = integrate_batch(sys, [sys.plan], X0[None], h, T, record_every, record_states)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 def sync_time(result: SimulationResult, tol: float) -> Optional[float]:
@@ -377,19 +434,6 @@ def mode_threshold(sys: NetworkSystem, tol: float) -> float:
     return sigma_star
 
 
-def _rk4_path(rhs, Y0: np.ndarray, h: float, steps: int) -> list[np.ndarray]:
-    Y = Y0.copy()
-    path = [Y.copy()]
-    for _ in range(steps):
-        k1 = rhs(Y)
-        k2 = rhs(Y + 0.5 * h * k1)
-        k3 = rhs(Y + 0.5 * h * k2)
-        k4 = rhs(Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path.append(Y.copy())
-    return path
-
-
 def modal_equivalence_check(
     F: np.ndarray,
     A_tilde: np.ndarray,
@@ -406,25 +450,14 @@ def modal_equivalence_check(
     maps the modes back and reports the largest absolute difference over
     all recorded times. Exact modal decoupling means this is pure roundoff.
     """
-    F = np.asarray(F, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
     e0 = np.asarray(e0, dtype=float)
     dec = eig_symmetric(A_tilde)
     U, lam = dec.eigenvectors, dec.eigenvalues
-    steps = int(round(T / h))
-
-    def full_rhs(E):
-        return E @ F.T + c * (np.asarray(A_tilde) @ E) * gamma
-
-    def mode_rhs(Et):
-        return Et @ F.T + c * lam[:, None] * (Et * gamma)
-
-    full_path = _rk4_path(full_rhs, e0, h, steps)
-    mode_path = _rk4_path(mode_rhs, U.T @ e0, h, steps)
-    deviation = 0.0
-    for E_full, E_modes in zip(full_path, mode_path):
-        deviation = max(deviation, float(np.max(np.abs(E_full - U @ E_modes))))
-    return deviation
+    dyn, zero = linear_field(F), np.zeros(e0.shape[1])
+    plan = PinningPlan(len(lam), (0.0,) * len(lam), c)
+    full = integrate_rk4(NetworkSystem(dyn, A_tilde, plan, gamma, zero), e0, h, T)
+    modes = integrate_rk4(NetworkSystem(dyn, np.diag(lam), plan, gamma, zero), U.T @ e0, h, T)
+    return float(np.max(np.abs(full.states - U @ modes.states)))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .dynamics import (
     NetworkSystem,
     SimulationResult,
     chen_field,
+    integrate_batch,
     integrate_rk4,
     mode_threshold,
     sync_time,
@@ -36,7 +37,9 @@ __all__ = [
     "ComparisonReport",
     "initial_state",
     "run_scenario",
+    "run_scenarios",
     "run_comparison",
+    "write_report",
     "sweep",
 ]
 
@@ -129,49 +132,67 @@ def run_scenario(
     scenario's expected value. Divergence is reported as an outcome row, not
     raised, so sweeps keep going.
     """
-    sys = build_system(scenario)
-    cf = cost(sys.plan)
-    if scenario.expected_cf is not None and cf != scenario.expected_cf:
-        raise ScenarioDefinitionError(
-            f"{scenario.name}: cost {cf!r} does not match expected {scenario.expected_cf!r}"
-        )
-    lam_max = controlled_spectrum(sys.coupling, sys.plan).lambda_max
-    sigma_star = mode_threshold(sys, 1e-6)
+    return run_scenarios([scenario], out_dir, simulate, full_states)[0]
 
-    result: Optional[SimulationResult] = None
-    blowup: Optional[float] = None
-    if simulate:
-        X0 = initial_state(sys.target, sys.n_nodes, scenario.sim.init_seed)
-        try:
-            result = integrate_rk4(
-                sys, X0, scenario.sim.h, scenario.sim.T,
-                record_every=scenario.sim.record_every,
+
+def run_scenarios(
+    scenarios: Sequence[Scenario],
+    out_dir: Optional[Path] = None,
+    simulate: bool = True,
+    full_states: bool = False,
+) -> list[ReportRow]:
+    """Run scenarios as run_scenario does each, in one step loop per group.
+
+    A group shares N, the coupling matrix, h, T and record_every; a group of
+    one runs integrate_rk4, a larger one integrate_batch. Either way every
+    member's numbers and artifacts are those of its solo run.
+    """
+    built, groups = [], {}
+    for i, s in enumerate(scenarios):
+        sys = build_system(s)
+        cf = cost(sys.plan)
+        if s.expected_cf is not None and cf != s.expected_cf:
+            raise ScenarioDefinitionError(
+                f"{s.name}: cost {cf!r} does not match expected {s.expected_cf!r}"
             )
+        lam_max = controlled_spectrum(sys.coupling, sys.plan).lambda_max
+        sigma_star = mode_threshold(sys, 1e-6)
+        built.append((sys, ReportRow(
+            s.name, cf, sys.plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
+        )))
+        key = (sys.n_nodes, sys.coupling.tobytes(), s.sim.h, s.sim.T, s.sim.record_every)
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(scenarios)
+    for idx in groups.values() if simulate else ():
+        sys, sim = built[idx[0]][0], scenarios[idx[0]].sim
+        X0 = [initial_state(sys.target, sys.n_nodes, scenarios[i].sim.init_seed) for i in idx]
+        opts = dict(record_every=sim.record_every, record_states=full_states)
+        if len(idx) > 1:
+            plans = [built[i][0].plan for i in idx]
+            batch = integrate_batch(sys, plans, np.array(X0), sim.h, sim.T, **opts)
+        else:
+            try:
+                batch = [integrate_rk4(sys, X0[0], sim.h, sim.T, **opts)]
+            except DivergenceError as exc:
+                batch = [exc]
+        for i, result in zip(idx, batch):
+            results[i] = result
+
+    rows = []
+    for scenario, (sys, row), result in zip(scenarios, built, results):
+        if isinstance(result, DivergenceError):
+            row = dataclasses.replace(row, outcome="diverged", blowup_time=result.time)
+        elif result is not None:
             result.sync_time = sync_time(result, scenario.sim.tol)
             outcome = "synchronized" if result.sync_time is not None else "not-synchronized"
-        except DivergenceError as exc:
-            blowup = exc.time
-            outcome = "diverged"
-    else:
-        outcome = "not-simulated"
-
-    row = ReportRow(
-        name=scenario.name,
-        cf=cf,
-        pinned_count=sys.plan.pinned_count,
-        lambda_max_controlled=lam_max,
-        sigma_star=sigma_star,
-        sync_time=None if result is None else result.sync_time,
-        outcome=outcome,
-        blowup_time=blowup,
-    )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if result is not None:
-            _write_timeseries(out_dir / f"{scenario.name}.csv", result, full_states)
-        _write_metadata(out_dir / f"{scenario.name}.meta.json", scenario, sys, row)
-    return row
+            row = dataclasses.replace(row, sync_time=result.sync_time, outcome=outcome)
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            if isinstance(result, SimulationResult):
+                _write_timeseries(Path(out_dir, f"{scenario.name}.csv"), result, full_states)
+            _write_metadata(Path(out_dir, f"{scenario.name}.meta.json"), scenario, sys, row)
+        rows.append(row)
+    return rows
 
 
 def _write_timeseries(path: Path, result: SimulationResult, full_states: bool) -> None:
@@ -207,6 +228,19 @@ def _write_metadata(
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def write_report(
+    rows: Sequence[ReportRow], out_dir: Optional[Path], stem: str
+) -> ComparisonReport:
+    """Sort rows by name and, given an output directory, write <stem>.csv and .txt."""
+    report = ComparisonReport(tuple(sorted(rows, key=lambda r: r.name)))
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{stem}.csv").write_text(report.to_csv_text())
+        (out_dir / f"{stem}.txt").write_text(report.to_table_text())
+    return report
+
+
 def run_comparison(
     scenarios: Sequence[Scenario],
     out_dir: Optional[Path] = None,
@@ -222,13 +256,9 @@ def run_comparison(
             raise ComparisonDefinitionError(
                 f"scenario {s.name!r} uses a different topology than {scenarios[0].name!r}"
             )
-    rows = [run_scenario(s, out_dir, simulate, full_states) for s in scenarios]
-    report = ComparisonReport(tuple(sorted(rows, key=lambda r: r.name)))
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        (out_dir / "comparison.csv").write_text(report.to_csv_text())
-        (out_dir / "comparison.txt").write_text(report.to_table_text())
-    return report
+    return write_report(
+        run_scenarios(scenarios, out_dir, simulate, full_states), out_dir, "comparison"
+    )
 
 
 def sweep(
@@ -237,6 +267,7 @@ def sweep(
     values: Sequence[float],
     out_dir: Optional[Path] = None,
     simulate: bool = True,
+    full_states: bool = False,
 ) -> ComparisonReport:
     """Re-run a base scenario with its gain or coupling strength swept.
 
@@ -249,7 +280,7 @@ def sweep(
         raise ScenarioDefinitionError("sweep needs at least one value")
     if any(v <= 0 for v in values):
         raise ScenarioDefinitionError("sweep values must be positive")
-    rows = []
+    derived = []
     for i, v in enumerate(values):
         plan = base.plan
         if vary == "c":
@@ -262,13 +293,7 @@ def sweep(
             )
         else:
             raise ScenarioDefinitionError("cannot sweep epsilon on a zero-gain plan")
-        derived = dataclasses.replace(
+        derived.append(dataclasses.replace(
             base, name=f"{base.name}+{vary}{i:02d}={v:g}", plan=plan, expected_cf=None
-        )
-        rows.append(run_scenario(derived, out_dir, simulate))
-    report = ComparisonReport(tuple(sorted(rows, key=lambda r: r.name)))
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        (out_dir / "sweep.csv").write_text(report.to_csv_text())
-        (out_dir / "sweep.txt").write_text(report.to_table_text())
-    return report
+        ))
+    return write_report(run_scenarios(derived, out_dir, simulate, full_states), out_dir, "sweep")

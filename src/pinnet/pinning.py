@@ -52,10 +52,10 @@ class PinningPlan:
             raise ContractViolationError(
                 f"{len(self.gains)} gains for {self.n_nodes} nodes"
             )
-        if any(g < 0 for g in self.gains):
-            raise ContractViolationError("gains must be nonnegative")
-        if self.coupling_strength < 0:
-            raise ContractViolationError("coupling strength must be nonnegative")
+        if not all(g >= 0 and math.isfinite(g) for g in self.gains):
+            raise ContractViolationError("gains must be finite and nonnegative")
+        if not (self.coupling_strength >= 0 and math.isfinite(self.coupling_strength)):
+            raise ContractViolationError("coupling strength must be finite and nonnegative")
 
     @property
     def pinned_nodes(self) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ synchronizing run crosses its tolerance with at least 20% slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,6 +174,14 @@ class SimParams:
     tol: float = 1e-2
     init_seed: int = 0
     record_every: int = 5
+
+    def __post_init__(self):
+        for name in ("h", "T", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ScenarioDefinitionError(f"sim.{name} must be finite and > 0, got {value!r}")
+        if self.record_every < 1:
+            raise ScenarioDefinitionError(f"sim.record_every must be >= 1, got {self.record_every}")
 
     def to_dict(self) -> dict:
         return {

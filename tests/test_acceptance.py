@@ -21,7 +21,7 @@ from pinnet.dynamics import (
     spectral_abscissa_3,
 )
 from pinnet.errors import BoundaryCaseError
-from pinnet.harness import GAMMA, build_system, run_scenario
+from pinnet.harness import GAMMA, build_system, run_scenario, run_scenarios
 from pinnet.pinning import PinningPlan
 from pinnet.scenarios import FAMILIES, get_scenario
 from pinnet.spectral import (
@@ -208,8 +208,7 @@ def test_09_chen_equilibrium():
 
 def test_10_headline_star_comparison():
     _start(10)
-    row_a = run_scenario(get_scenario("fig2a"))
-    row_b = run_scenario(get_scenario("fig2b"))
+    row_a, row_b = run_scenarios([get_scenario("fig2a"), get_scenario("fig2b")])
     sync_a = math.inf if row_a.sync_time is None else row_a.sync_time
     sync_b = math.inf if row_b.sync_time is None else row_b.sync_time
     ok = row_b.cf < row_a.cf and sync_b < sync_a
@@ -220,13 +219,13 @@ def test_10_headline_star_comparison():
 def test_11_stability_consistency_star_cluster():
     _start(11)
     mismatches = []
-    for name in ("fig2a", "fig2b", "fig3a", "fig3b", "fig5a", "fig5b"):
-        scenario = get_scenario(name)
-        sys_net = build_system(scenario)
+    names = ("fig2a", "fig2b", "fig3a", "fig3b", "fig5a", "fig5b")
+    rows = run_scenarios([get_scenario(name) for name in names])
+    for name, row in zip(names, rows):
+        sys_net = build_system(get_scenario(name))
         sigma = mode_threshold(sys_net, 1e-4)
         lam1 = controlled_spectrum(sys_net.coupling, sys_net.plan).lambda_max
         predicted = sys_net.plan.coupling_strength * lam1 < sigma
-        row = run_scenario(scenario)
         observed = row.outcome == "synchronized"
         if predicted != observed:
             mismatches.append(name)

@@ -1,0 +1,218 @@
+"""Batched integration: every member of a batch equals its solo run, bit for bit."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import pinnet.harness
+from pinnet.cli import main
+from pinnet.dynamics import integrate_batch, integrate_rk4, sync_error
+from pinnet.errors import ContractViolationError, DivergenceError
+from pinnet.harness import build_system, initial_state, run_scenario, sweep
+from pinnet.pinning import PinningPlan
+from pinnet.scenarios import get_scenario
+
+# The seed-0 gains of the benchmark's sweep_ba workload and their sync times.
+SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
+SWEEP_SYNC = (
+    None, None, None, None, 1.735, 1.4000000000000001, 1.2375, 1.21, 1.1525, 1.1375,
+    1.2225, 1.3125,
+)
+
+
+def derived_epsilon(base, i, gain):
+    """The scenario sweep() derives for position i and gain."""
+    plan = dataclasses.replace(base.plan, gain=float(gain))
+    return dataclasses.replace(
+        base, name=f"{base.name}+epsilon{i:02d}={gain:g}", plan=plan, expected_cf=None
+    )
+
+
+@pytest.fixture(scope="module")
+def fig8b_sweep(tmp_path_factory):
+    """The fig8b gain sweep at T = 2, batched and one member at a time.
+
+    Both runs go through the harness; the integrators it calls are wrapped
+    so the tests can compare the in-memory results, not only the artifacts.
+    """
+    base = get_scenario("fig8b")
+    base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=2.0))
+    batched_dir = tmp_path_factory.mktemp("batched")
+    solo_dir = tmp_path_factory.mktemp("solo")
+    captured = {"batch": [], "solo": []}
+
+    def capture(kind, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            captured[kind].append(out)
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pinnet.harness, "integrate_batch",
+                   capture("batch", pinnet.harness.integrate_batch))
+        mp.setattr(pinnet.harness, "integrate_rk4",
+                   capture("solo", pinnet.harness.integrate_rk4))
+        report = sweep(base, "epsilon", SWEEP_GAINS, out_dir=batched_dir)
+        solo_rows = [
+            run_scenario(derived_epsilon(base, i, g), out_dir=solo_dir)
+            for i, g in enumerate(SWEEP_GAINS)
+        ]
+    return report, solo_rows, captured, batched_dir, solo_dir
+
+
+def test_sweep_runs_as_one_batch(fig8b_sweep):
+    _, _, captured, _, _ = fig8b_sweep
+    assert len(captured["batch"]) == 1
+    assert len(captured["batch"][0]) == len(SWEEP_GAINS)
+    assert len(captured["solo"]) == len(SWEEP_GAINS)
+
+
+def test_batched_sweep_equals_solo_runs_bitwise(fig8b_sweep):
+    report, solo_rows, captured, batched_dir, solo_dir = fig8b_sweep
+    assert list(report.rows) == solo_rows
+    for batched, solo in zip(captured["batch"][0], captured["solo"]):
+        assert np.array_equal(batched.times, solo.times)
+        assert np.array_equal(batched.error_metric, solo.error_metric)
+        assert batched.sync_time == solo.sync_time
+        assert batched.cf == solo.cf
+    for row in solo_rows:
+        for suffix in (".csv", ".meta.json"):
+            name = row.name + suffix
+            assert (batched_dir / name).read_bytes() == (solo_dir / name).read_bytes()
+
+
+def test_batched_sweep_golden_sync_times(fig8b_sweep):
+    report = fig8b_sweep[0]
+    assert [r.sync_time for r in report.rows] == list(SWEEP_SYNC)
+    assert [r.outcome for r in report.rows] == (
+        ["not-synchronized"] * 4 + ["synchronized"] * 8
+    )
+
+
+def reference_rk4(sys, X, h, T, record_every):
+    """The solo step loop integrate_batch replaced, kept as the bitwise reference."""
+    c, eps = sys.plan.coupling_strength, sys.plan.gain_array()
+
+    def rhs(X, t):
+        out = sys.dynamics.field(X, t)
+        if c != 0.0:
+            out = out + c * (sys.coupling @ X) * sys.gamma
+            if np.any(eps):
+                out = out - c * eps[:, None] * (sys.gamma * (X - sys.target))
+        return out
+
+    states, errors = [X], [sync_error(X, sys.target)]
+    for step in range(1, int(round(T / h)) + 1):
+        t = (step - 1) * h
+        k1 = rhs(X, t)
+        k2 = rhs(X + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(X + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(X + h * k3, t + h)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % record_every == 0:
+            states.append(X)
+            errors.append(sync_error(X, sys.target))
+    return np.array(states), np.array(errors)
+
+
+def test_mixed_batch_matches_reference_solo_loop():
+    # Uncoupled, coupled but unpinned, leaf-pinned and mixed-pinned members on
+    # the scale-free graph share one batch.
+    names = ("fig6a", "fig6b", "fig8b", "fig9b")
+    systems = [build_system(get_scenario(name)) for name in names]
+    X0 = np.array([initial_state(s.target, s.n_nodes, i) for i, s in enumerate(systems)])
+    h, T = 5e-4, 0.1
+    batch = integrate_batch(systems[0], [s.plan for s in systems], X0, h, T, record_every=5)
+    for sys, x0, result in zip(systems, X0, batch):
+        states, errors = reference_rk4(sys, x0, h, T, 5)
+        assert np.array_equal(result.states, states)
+        assert np.array_equal(result.error_metric, errors)
+
+
+def test_divergence_inside_a_batch():
+    # Hub pinning, leaf pinning and the uncoupled network on the 9-node star;
+    # the hub member starts far off and blows up, the others must not notice.
+    sys = build_system(get_scenario("fig2b"))
+    plans = [
+        sys.plan,
+        build_system(get_scenario("fig2a")).plan,
+        PinningPlan(9, (0.0,) * 9, 0.0),
+    ]
+    X0 = np.array([initial_state(sys.target, 9, seed) for seed in (1, 2, 3)])
+    X0[1] += 1e4
+    h, T = 5e-4, 0.25
+    batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
+
+    with pytest.raises(DivergenceError) as solo_blowup:
+        integrate_rk4(dataclasses.replace(sys, plan=plans[1]), X0[1], h, T, record_every=5)
+    assert isinstance(batch[1], DivergenceError)
+    assert batch[1].time == solo_blowup.value.time
+    for b in (0, 2):
+        solo = integrate_rk4(dataclasses.replace(sys, plan=plans[b]), X0[b], h, T, record_every=5)
+        assert np.array_equal(batch[b].times, solo.times)
+        assert np.array_equal(batch[b].states, solo.states)
+        assert np.array_equal(batch[b].error_metric, solo.error_metric)
+
+
+def test_every_member_diverging_returns_errors():
+    sys = build_system(get_scenario("fig2b"))
+    X0 = np.tile(sys.target + 1e4, (2, 9, 1))
+    batch = integrate_batch(sys, [sys.plan, sys.plan], X0, 1e-3, 0.5)
+    assert all(isinstance(r, DivergenceError) for r in batch)
+
+
+def test_summary_batch_records_no_states():
+    sys = build_system(get_scenario("fig2b"))
+    X0 = initial_state(sys.target, 9, 0)[None]
+    (result,) = integrate_batch(sys, [sys.plan], X0, 1e-3, 0.1, record_states=False)
+    assert result.states is None
+    assert len(result.error_metric) == 101
+
+
+def test_batch_rejects_mismatched_states():
+    sys = build_system(get_scenario("fig2b"))
+    with pytest.raises(ContractViolationError):
+        integrate_batch(sys, [sys.plan, sys.plan], np.zeros((1, 9, 3)), 1e-3, 0.1)
+
+
+def test_c_sweep_guard_failure_matches_solo_message():
+    base = get_scenario("fig8b")
+    base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=0.01))
+    with pytest.raises(ContractViolationError) as batched:
+        sweep(base, "c", [6.0, 1000.0])
+    plan = dataclasses.replace(base.plan, c=1000.0)
+    worst = dataclasses.replace(base, name="solo", plan=plan, expected_cf=None)
+    with pytest.raises(ContractViolationError) as solo:
+        run_scenario(worst)
+    assert "stability guard" in str(solo.value)
+    assert str(batched.value) == str(solo.value)
+
+
+def test_reproduce_fig6_groups_are_bitwise_solo_runs(tmp_path, monkeypatch, capsys):
+    groups = []
+    real = pinnet.harness.integrate_batch
+
+    def spy(sys, plans, *args, **kwargs):
+        groups.append((args[1], [p.coupling_strength for p in plans]))
+        return real(sys, plans, *args, **kwargs)
+
+    monkeypatch.setattr(pinnet.harness, "integrate_batch", spy)
+    overrides = ["--T", "0.5", "--full"]
+    for run in ("first", "second"):
+        assert main(["reproduce", "fig6", *overrides, "--out", str(tmp_path / run)]) == 0
+    # fig6a/b share h = 1e-3 (fig6a uncoupled, c = 0), fig6c/d share h = 2e-4.
+    assert sorted(groups) == [(2e-4, [6.0, 6.0])] * 2 + [(1e-3, [0.0, 6.0])] * 2
+    first = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert first == sorted(p.name for p in (tmp_path / "second").iterdir())
+    for name in first:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+    for name in ("fig6a", "fig6b", "fig6c", "fig6d"):
+        solo_dir = tmp_path / "solo"
+        assert main(["simulate", name, *overrides, "--out", str(solo_dir)]) == 0
+        for suffix in (".csv", ".meta.json"):
+            batched = (tmp_path / "first" / f"{name}{suffix}").read_bytes()
+            assert batched == (solo_dir / f"{name}{suffix}").read_bytes()
+    capsys.readouterr()

@@ -188,6 +188,33 @@ def test_sweep_cli(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_full_writes_per_node_states(tmp_path, capsys):
+    code = main([
+        "sweep", "fig2b", "--vary", "epsilon", "--values", "1.5,3",
+        "--T", "0.2", "--full", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    for name in ("fig2b+epsilon00=1.5", "fig2b+epsilon01=3"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "t,node,x1,x2,x3"
+        assert len(lines) == 1 + 9 * (2000 // 5 + 1)
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--h", "nan", "sim.h"),
+    ("--h", "inf", "sim.h"),
+    ("--h", "-1e-3", "sim.h"),
+    ("--T", "inf", "sim.T"),
+    ("--T", "nan", "sim.T"),
+    ("--tol", "0", "sim.tol"),
+    ("--tol", "nan", "sim.tol"),
+])
+def test_non_finite_step_parameters_exit_2(flag, value, field, capsys):
+    assert main(["simulate", "fig2b", f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be finite and > 0" in err
+
+
 def test_reproduce_cf_only(tmp_path, capsys):
     assert main(["reproduce", "fig9", "--cf-only", "--out", str(tmp_path)]) == 0
     table = capsys.readouterr().out

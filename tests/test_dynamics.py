@@ -210,6 +210,14 @@ class TestIntegrateRk4:
         with pytest.raises(ContractViolationError):
             integrate_rk4(sys, X0, 1e-3, 1e-4)
 
+    @pytest.mark.parametrize("h,T", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("nan")), (1e-3, float("inf")),
+    ])
+    def test_rejects_non_finite_step_parameters(self, h, T):
+        sys = chen_star_system()
+        with pytest.raises(ContractViolationError, match="finite"):
+            integrate_rk4(sys, np.tile(sys.target, (9, 1)), h, T)
+
 
 class TestSyncMetrics:
     def test_zero_when_equal(self):

@@ -47,6 +47,22 @@ class TestScenarioRegistry:
         for scenario in SCENARIOS.values():
             assert Scenario.from_dict(scenario.to_dict()) == scenario
 
+    @pytest.mark.parametrize("field,value", [
+        ("h", float("nan")), ("h", float("inf")), ("h", 0.0),
+        ("T", float("inf")), ("T", -1.0), ("tol", float("nan")), ("tol", 0.0),
+        ("record_every", 0),
+    ])
+    def test_sim_params_refuse_bad_values(self, field, value):
+        sim = get_scenario("fig2a").sim
+        with pytest.raises(ScenarioDefinitionError, match=f"sim.{field} must be"):
+            dataclasses.replace(sim, **{field: value})
+
+    def test_scenario_file_with_non_finite_step(self):
+        d = get_scenario("fig2a").to_dict()
+        d["sim"]["h"] = "nan"
+        with pytest.raises(ScenarioDefinitionError, match="sim.h"):
+            Scenario.from_dict(d)
+
     def test_cf_mismatch_fails_loudly(self):
         bad = dataclasses.replace(get_scenario("fig2a"), expected_cf=1234.0)
         with pytest.raises(ScenarioDefinitionError):

@@ -74,6 +74,28 @@ class TestPlanExplicit:
             plan_explicit(5, {2: 0.0}, 1.0)
 
 
+class TestPlanContract:
+    @pytest.mark.parametrize("gains,c", [
+        ((float("nan"), 0.0), 1.0),
+        ((float("inf"), 0.0), 1.0),
+        ((-1.0, 0.0), 1.0),
+        ((1.0, 0.0), float("nan")),
+        ((1.0, 0.0), float("inf")),
+        ((1.0, 0.0), -1.0),
+    ])
+    def test_rejects_non_finite_or_negative(self, gains, c):
+        with pytest.raises(ContractViolationError, match="finite and nonnegative"):
+            PinningPlan(2, gains, c)
+
+    def test_builders_reject_non_finite(self):
+        with pytest.raises(ContractViolationError):
+            plan_explicit(3, {1: float("nan")}, 1.0)
+        with pytest.raises(ContractViolationError):
+            plan_by_degree(star(4), "largest", 1, float("inf"), 1.0)
+        with pytest.raises(ContractViolationError):
+            plan_by_degree(star(4), "largest", 1, 1.0, float("nan"))
+
+
 class TestCost:
     def test_shipped_cost_values(self):
         assert cost(PinningPlan(9, (0.0,) + (1.5,) * 8, 10.0)) == 120.0
