@@ -32,7 +32,6 @@ from .topology import (
     star,
 )
 from .pinning import (
-    CostReport,
     PinningPlan,
     controlled_coupling,
     cost,
@@ -41,7 +40,6 @@ from .pinning import (
 )
 from .spectral import (
     EigenDecomposition,
-    SpectralMargin,
     cluster_leaf_gain_bound,
     controlled_spectrum,
     eig_symmetric,

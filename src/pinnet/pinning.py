@@ -21,7 +21,6 @@ from .topology import Graph, degrees
 
 __all__ = [
     "PinningPlan",
-    "CostReport",
     "plan_by_degree",
     "plan_explicit",
     "cost",
@@ -67,13 +66,6 @@ class PinningPlan:
 
     def gain_array(self) -> np.ndarray:
         return np.asarray(self.gains, dtype=float)
-
-
-@dataclass(frozen=True)
-class CostReport:
-    cf: float
-    pinned_count: int
-    lambda_max_controlled: float
 
 
 def plan_by_degree(

@@ -16,6 +16,7 @@ synchronizing run crosses its tolerance with at least 20% slack.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,6 +183,11 @@ class SimParams:
                 raise ScenarioDefinitionError(f"sim.{name} must be finite and > 0, got {value!r}")
         if self.record_every < 1:
             raise ScenarioDefinitionError(f"sim.record_every must be >= 1, got {self.record_every}")
+        seed = self.init_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ScenarioDefinitionError(
+                f"sim.init_seed must be a non-negative integer, got {seed!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -193,7 +199,7 @@ class SimParams:
     def from_dict(d: dict) -> "SimParams":
         return SimParams(
             h=float(d["h"]), T=float(d["T"]), tol=float(d.get("tol", 1e-2)),
-            init_seed=int(d.get("init_seed", 0)),
+            init_seed=d.get("init_seed", 0),
             record_every=int(d.get("record_every", 5)),
         )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSizeError
+from .errors import ContractViolationError, InvalidSizeError
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -148,6 +148,8 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
         raise InvalidSizeError(
             f"need 1 <= m <= m0 < n_nodes, got m={m}, m0={m0}, n_nodes={n_nodes}"
         )
+    if seed < 0:
+        raise ContractViolationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     # One entry per unit of degree; uniform draws from this list realise

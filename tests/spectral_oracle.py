@@ -1,0 +1,159 @@
+"""Test-side spectral reference code.
+
+``jacobi_eig`` is a cyclic Jacobi eigensolver written independently of
+LAPACK; the tests use it as the oracle for the package's ``eig_symmetric``
+(which calls ``np.linalg.eigh``) and for its Cholesky definiteness tests.
+The report helpers below check spectral invariants and are used only by
+tests.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from pinnet.errors import ContractViolationError
+from pinnet.pinning import PinningPlan, cost
+from pinnet.spectral import EigenDecomposition, controlled_spectrum, eig_symmetric
+
+# Stop once the off-diagonal Frobenius mass is negligible against the input.
+_OFF_DIAG_FACTOR = 1e-12
+_MAX_SWEEPS = 100
+
+
+def _off_diag_norm(a: np.ndarray) -> float:
+    mask = ~np.eye(a.shape[0], dtype=bool)
+    return float(np.sqrt(np.sum(a[mask] ** 2)))
+
+
+def jacobi_eig(M: np.ndarray) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric real matrix by cyclic Jacobi.
+
+    Sweeps all upper-triangle pairs in row order, rotating each away, until
+    the off-diagonal norm falls below 1e-12 times the input Frobenius norm.
+    Eigenvalues come back descending with matching eigenvector columns.
+    """
+    M = np.asarray(M, dtype=float)
+    assert M.ndim == 2 and M.shape[0] == M.shape[1] and M.shape[0] > 0
+    assert np.max(np.abs(M - M.T)) <= 1e-12 * max(1.0, np.linalg.norm(M))
+
+    n = M.shape[0]
+    a = M.copy()
+    u = np.eye(n)
+    fro = float(np.linalg.norm(M))
+    if fro == 0.0:
+        return EigenDecomposition(np.zeros(n), u)
+    threshold = _OFF_DIAG_FACTOR * fro
+
+    for _ in range(_MAX_SWEEPS):
+        if _off_diag_norm(a) <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= threshold / n:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e100:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    sign = 1.0 if theta >= 0 else -1.0
+                    t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                # Two-sided rotation on rows/columns p and q.
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                ucol_p, ucol_q = u[:, p].copy(), u[:, q].copy()
+                u[:, p] = c * ucol_p - s * ucol_q
+                u[:, q] = s * ucol_p + c * ucol_q
+    if _off_diag_norm(a) > threshold:
+        raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
+
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(-eigenvalues, kind="stable")
+    return EigenDecomposition(eigenvalues[order], u[:, order])
+
+
+@dataclass(frozen=True)
+class SpectralMargin:
+    """Whether the controlled spectrum sits strictly below -margin."""
+
+    margin: float
+    satisfied: bool
+    lambda_max: float
+
+
+@dataclass(frozen=True)
+class DiagBoundsReport:
+    """Consistency checks between a Hermitian matrix's diagonal and spectrum.
+
+    diag_within_spectrum: every diagonal entry lies in [lambda_min, lambda_max].
+    lambda2_bound_holds: when lambda_max == 0, the two largest diagonal
+    entries satisfy a11 + a22 <= lambda_2; None when lambda_max != 0.
+    """
+
+    diag_within_spectrum: bool
+    lambda2_bound_holds: Optional[bool]
+
+
+@dataclass(frozen=True)
+class CostReport:
+    cf: float
+    pinned_count: int
+    lambda_max_controlled: float
+
+
+def check_margin(A: np.ndarray, plan: PinningPlan, margin: float) -> SpectralMargin:
+    """Test whether every controlled eigenvalue lies strictly below -margin."""
+    if margin <= 0:
+        raise ContractViolationError("margin must be positive")
+    lam_max = controlled_spectrum(A, plan).lambda_max
+    return SpectralMargin(margin=margin, satisfied=lam_max < -margin, lambda_max=lam_max)
+
+
+def diag_bounds_check(M: np.ndarray) -> DiagBoundsReport:
+    """Check the diagonal-vs-spectrum inequalities of a symmetric matrix.
+
+    Every diagonal entry of a Hermitian matrix lies between the extreme
+    eigenvalues, and when the largest eigenvalue is zero the two largest
+    diagonal entries are bounded above by the second eigenvalue.
+    """
+    dec = eig_symmetric(M)
+    diag = np.diag(np.asarray(M, dtype=float))
+    lo, hi = dec.lambda_min, dec.lambda_max
+    within = bool(np.all(diag >= lo - 1e-9) and np.all(diag <= hi + 1e-9))
+    lambda2_holds: Optional[bool] = None
+    if abs(dec.lambda_max) <= 1e-9 and M.shape[0] >= 2:
+        top_two = np.sort(diag)[::-1][:2]
+        lambda2_holds = bool(top_two[0] + top_two[1] <= dec.eigenvalues[1] + 1e-9)
+    return DiagBoundsReport(within, lambda2_holds)
+
+
+def gershgorin_check(M: np.ndarray) -> bool:
+    """Every eigenvalue lies in the union of Gershgorin discs (1e-9 slack)."""
+    M = np.asarray(M, dtype=float)
+    centers = np.diag(M)
+    radii = np.sum(np.abs(M), axis=1) - np.abs(centers)
+    eigenvalues = eig_symmetric(M).eigenvalues
+    for lam in eigenvalues:
+        if not np.any(np.abs(lam - centers) <= radii + 1e-9):
+            return False
+    return True
+
+
+def evaluate_plan(A: np.ndarray, plan: PinningPlan) -> CostReport:
+    """Cost and controlled spectral radius of a plan on a coupling matrix."""
+    return CostReport(
+        cf=cost(plan),
+        pinned_count=plan.pinned_count,
+        lambda_max_controlled=controlled_spectrum(A, plan).lambda_max,
+    )

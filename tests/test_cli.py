@@ -215,6 +215,29 @@ def test_non_finite_step_parameters_exit_2(flag, value, field, capsys):
     assert f"{field} must be finite and > 0" in err
 
 
+def test_negative_seed_exits_2(capsys):
+    assert main(["simulate", "fig2b", "--seed=-1"]) == 2
+    assert "sim.init_seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_scenario_file_bad_seed_exits_2(seed, tmp_path, capsys):
+    scenario = get_scenario("fig2b").to_dict()
+    scenario["sim"]["init_seed"] = seed
+    path = tmp_path / "bad_seed.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "sim.init_seed" in capsys.readouterr().err
+
+
+def test_topology_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "ba.txt"
+    argv = ["topology", "ba", "--n", "20", "--m0", "3", "--m", "3", "--seed=-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_cf_only(tmp_path, capsys):
     assert main(["reproduce", "fig9", "--cf-only", "--out", str(tmp_path)]) == 0
     table = capsys.readouterr().out

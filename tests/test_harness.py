@@ -50,7 +50,7 @@ class TestScenarioRegistry:
     @pytest.mark.parametrize("field,value", [
         ("h", float("nan")), ("h", float("inf")), ("h", 0.0),
         ("T", float("inf")), ("T", -1.0), ("tol", float("nan")), ("tol", 0.0),
-        ("record_every", 0),
+        ("record_every", 0), ("init_seed", -1), ("init_seed", 1.5), ("init_seed", True),
     ])
     def test_sim_params_refuse_bad_values(self, field, value):
         sim = get_scenario("fig2a").sim

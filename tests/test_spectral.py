@@ -1,22 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import pinnet.spectral
 from conftest import random_connected_graph
-from pinnet.errors import BoundaryCaseError, BoundUndefinedError, ContractViolationError
+from pinnet.errors import (
+    BoundaryCaseError,
+    BoundUndefinedError,
+    ContractViolationError,
+    NumericalFailureError,
+)
 from pinnet.pinning import PinningPlan, plan_by_degree, plan_explicit
 from pinnet.spectral import (
-    check_margin,
+    _below,
     cluster_leaf_gain_bound,
     controlled_spectrum,
-    diag_bounds_check,
     eig_symmetric,
-    evaluate_plan,
-    gershgorin_check,
     min_uniform_gain,
     schur_feasible,
     star_leaf_gain_bound,
 )
 from pinnet.topology import ClusterSpec, cluster_stars, coupling_matrix, star
+from spectral_oracle import (
+    check_margin,
+    diag_bounds_check,
+    evaluate_plan,
+    gershgorin_check,
+    jacobi_eig,
+)
 
 
 def leaf_plan(n, eps, c=1.0):
@@ -43,6 +55,25 @@ class TestEigSymmetric:
         with pytest.raises(ContractViolationError):
             eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_symmetry_tolerance_is_relative(self):
+        # asymmetry 1e-10 against ||M||_F ~ 2.2e6: 5e-17 relative
+        dec = eig_symmetric(np.array([[1e6, 1.0], [1.0 + 1e-10, 2e6]]))
+        assert dec.lambda_max > dec.lambda_min
+        with pytest.raises(ContractViolationError):
+            eig_symmetric(np.array([[1e6, 1.0], [2.0, 2e6]]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ContractViolationError):
+            eig_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError):
+            eig_symmetric(np.eye(2))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ContractViolationError):
             eig_symmetric(np.zeros((2, 3)))
@@ -53,7 +84,7 @@ class TestEigSymmetric:
 
     def test_residual_orthogonality_and_oracle_1000(self):
         # Residual and orthogonality invariants on 1000 random symmetric
-        # matrices, cross-checked against numpy's eigensolver.
+        # matrices, cross-checked against the cyclic Jacobi oracle.
         rng = np.random.Generator(np.random.PCG64(7))
         for _ in range(1000):
             n = int(rng.integers(2, 31))
@@ -68,7 +99,7 @@ class TestEigSymmetric:
             orth = np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(n)))
             assert orth <= 1e-9
             assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-            oracle = np.sort(np.linalg.eigvalsh(M))[::-1]
+            oracle = jacobi_eig(M).eigenvalues
             assert np.max(np.abs(dec.eigenvalues - oracle)) <= 1e-9 * max(1.0, fro)
 
 
@@ -238,6 +269,102 @@ class TestMinUniformGain:
             A = coupling_matrix(star(n))
             eps = min_uniform_gain(A, range(1, n), 1.0, 1e-9)
             assert eps <= star_leaf_gain_bound(n, 1.0) + 1e-6
+
+
+def _pinned_instance(seed, n):
+    """Random connected graph on n nodes with a random proper pinned subset."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    A = coupling_matrix(random_connected_graph(rng, n))
+    k = int(rng.integers(1, n))
+    pinned = sorted(rng.choice(n, size=k, replace=False).tolist())
+    return rng, A, pinned
+
+
+def _oracle_below(M, level):
+    """The documented definiteness predicate, decided by the Jacobi oracle.
+
+    An eigenvalue within 1e-12 * (1 + ||M||_F) of -level counts as not below.
+    """
+    return jacobi_eig(M).lambda_max < -level - 1e-12 * (1.0 + np.linalg.norm(M))
+
+
+def _oracle_min_gain(A, pinned, margin, tol):
+    """min_uniform_gain's bisection with the Jacobi oracle as the predicate."""
+    unpinned = [i for i in range(A.shape[0]) if i not in pinned]
+    if not _oracle_below(A[np.ix_(unpinned, unpinned)], margin):
+        return None
+
+    def satisfied(eps):
+        a_ctrl = A.copy()
+        a_ctrl[pinned, pinned] -= eps
+        return _oracle_below(a_ctrl, margin)
+
+    if satisfied(0.0):
+        return 0.0
+    hi = 1.0
+    while not satisfied(hi):
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if satisfied(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestDefinitenessOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        margin=st.floats(0.01, 5.0),
+    )
+    def test_below_agrees_with_jacobi(self, seed, n, margin):
+        rng, A, pinned = _pinned_instance(seed, n)
+        A[pinned, pinned] -= rng.uniform(0.0, 50.0, len(pinned))
+        lam1 = jacobi_eig(A).lambda_max
+        assume(abs(lam1 + margin) > 1e-9)
+        assert _below(A, margin) == (lam1 < -margin)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 9),
+        margin=st.floats(0.05, 2.0),
+    )
+    # lambda_1 is flat in the gain near the answer 128, so the slack moves
+    # the answer by about 2e-6, more than tol, against a slack-free bisection.
+    @example(seed=0, n=2, margin=0.9921875)
+    def test_min_gain_agrees_with_jacobi_bisection(self, seed, n, margin):
+        _, A, pinned = _pinned_instance(seed, n)
+        unpinned = [i for i in range(n) if i not in pinned]
+        block = jacobi_eig(A[np.ix_(unpinned, unpinned)]).lambda_max
+        assume(abs(block + margin) > 1e-9)
+        tol = 1e-6
+        got = min_uniform_gain(A, pinned, margin, tol)
+        expected = _oracle_min_gain(A, pinned, margin, tol)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and abs(got - expected) <= tol
+            a_ctrl = A.copy()
+            a_ctrl[pinned, pinned] -= got
+            assert jacobi_eig(a_ctrl).lambda_max < -margin
+
+    def test_decisions_make_no_eigendecomposition(self, monkeypatch):
+        def refuse(M):
+            raise AssertionError("eig_symmetric called")
+
+        monkeypatch.setattr(pinnet.spectral, "eig_symmetric", refuse)
+        A = coupling_matrix(star(9))
+        assert min_uniform_gain(A, range(1, 9), 1.0, 1e-6) is not None
+        assert min_uniform_gain(A, [0], 1.0, 1e-6) is None
+        assert schur_feasible(A, range(1, 9), [1.5] * 8, 1.0) is True
+        assert schur_feasible(A, [0], [300.0], 1.0) is False
+        with pytest.raises(BoundaryCaseError):
+            schur_feasible(A, range(1, 9), [50.0] * 8, 8.0 - 1e-10)
 
 
 class TestDiagBounds:
