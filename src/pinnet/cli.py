@@ -24,6 +24,7 @@ from .topology import (
     barabasi_albert,
     cluster_stars,
     coupling_matrix,
+    format_edge_list,
     read_edge_list,
     star,
     write_edge_list,
@@ -65,6 +66,12 @@ def _load_scenario(ref: str) -> Scenario:
     return get_scenario(ref)
 
 
+def _finish(report: ComparisonReport) -> int:
+    """Print the report table; exit with EXIT_DIVERGED if any row diverged."""
+    print(report.to_table_text(), end="")
+    return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
+
+
 def _cmd_topology(args) -> int:
     if args.family == "star":
         g = star(args.n)
@@ -74,8 +81,7 @@ def _cmd_topology(args) -> int:
     else:
         g = barabasi_albert(args.n, args.m0, args.m, args.seed)
     if args.out is None:
-        lines = [f"N {g.n_nodes}"] + [f"{i} {j}" for i, j in sorted(g.edges)]
-        print("\n".join(lines))
+        print(format_edge_list(g), end="")
     else:
         write_edge_list(g, args.out)
     return EXIT_OK
@@ -116,8 +122,7 @@ def _cmd_pin(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
     row = run_scenario(scenario, out_dir=args.out, full_states=args.full)
-    print(ComparisonReport((row,)).to_table_text(), end="")
-    return EXIT_DIVERGED if row.outcome == "diverged" else EXIT_OK
+    return _finish(ComparisonReport((row,)))
 
 
 def _cmd_compare(args) -> int:
@@ -128,9 +133,7 @@ def _cmd_compare(args) -> int:
     for ref in refs:
         sc = Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(str(ref))
         scenarios.append(_apply_overrides(sc, args))
-    report = run_comparison(scenarios, out_dir=args.out, full_states=args.full)
-    print(report.to_table_text(), end="")
-    return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
+    return _finish(run_comparison(scenarios, out_dir=args.out, full_states=args.full))
 
 
 def _cmd_sweep(args) -> int:
@@ -141,9 +144,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioDefinitionError(
             f"--values expects comma-separated numbers, got {args.values!r}"
         ) from exc
-    report = sweep(scenario, args.vary, values, out_dir=args.out, full_states=args.full)
-    print(report.to_table_text(), end="")
-    return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
+    return _finish(sweep(scenario, args.vary, values, out_dir=args.out, full_states=args.full))
 
 
 def _cmd_reproduce(args) -> int:
@@ -154,9 +155,7 @@ def _cmd_reproduce(args) -> int:
         )
     scenarios = [_apply_overrides(get_scenario(name), args) for name in names]
     rows = run_scenarios(scenarios, args.out, not args.cf_only, args.full)
-    report = write_report(rows, args.out, f"{args.family}.report")
-    print(report.to_table_text(), end="")
-    return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
+    return _finish(write_report(rows, args.out, f"{args.family}.report"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -188,29 +188,15 @@ class SimulationResult:
 def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan]) -> Callable:
     """network_rhs on a (B, N, n) batch of states, member b under plans[b].
 
-    A member adds coupling only if its c != 0 and feedback only if it also
-    pins a node, so its arithmetic does not depend on its batch mates.
+    A member with c = 0 or no pinned node adds exact zeros for the terms it
+    lacks, so its arithmetic does not depend on its batch mates.
     """
     c = np.array([p.coupling_strength for p in plans])[:, None, None]
     eps = np.array([p.gains for p in plans], dtype=float)[:, :, None]
     A, gamma, target, field = sys.coupling, sys.gamma, sys.target, sys.dynamics.field
 
-    def members(mask: np.ndarray):  # None: no member, True: every member
-        return None if not mask.any() else True if mask.all() else mask
-
-    coupled = members(c != 0.0)
-    pinned = members((c != 0.0) & np.any(eps != 0.0, axis=1, keepdims=True))
-
-    def pick(mask, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        return new if mask is True else np.where(mask, new, old)
-
     def rhs(X: np.ndarray, t: float) -> np.ndarray:
-        out = field(X, t)
-        if coupled is not None:
-            out = pick(coupled, out + c * (A @ X) * gamma, out)
-        if pinned is not None:
-            out = pick(pinned, out - c * eps * (gamma * (X - target)), out)
-        return out
+        return field(X, t) + c * (A @ X) * gamma - c * eps * (gamma * (X - target))
 
     return rhs
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the typed field reader.
 
 The CLI maps these onto exit codes: scenario/comparison definition
 problems exit with 2, simulation divergence with 3.
 """
+
+import numbers
 
 
 class PinnetError(Exception):
@@ -57,3 +59,39 @@ class ScenarioDefinitionError(PinnetError, ValueError):
 
 class ComparisonDefinitionError(ScenarioDefinitionError):
     """A comparison request mixes incompatible scenarios."""
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def checked(value, kind: type, name: str):
+    """`value` as `kind` (int, float, str, list or dict), refusing other types.
+
+    Booleans are no numbers here, and an int field takes no float, so nothing
+    is truncated. Raises ScenarioDefinitionError naming the field `name`.
+    """
+    if kind is int:
+        ok = isinstance(value, numbers.Integral)
+    elif kind is float:
+        ok = isinstance(value, numbers.Real)
+    else:
+        ok = isinstance(value, kind)
+    if not ok or (kind in (int, float) and isinstance(value, bool)):
+        raise ScenarioDefinitionError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def field(d, where: str, key: str, kind: type, default=_REQUIRED):
+    """Field `key` of the JSON object `d` at path `where`, checked as `kind`.
+
+    A missing field takes `default`, or is refused when there is none.
+    """
+    name = f"{where}.{key}" if where else key
+    if not isinstance(d, dict):
+        raise ScenarioDefinitionError(f"{where or 'document'} must be an object, got {d!r}")
+    if key not in d:
+        if default is _REQUIRED:
+            raise ScenarioDefinitionError(f"{name} is missing")
+        return default
+    return checked(d[key], kind, name)

@@ -22,7 +22,6 @@ from .dynamics import (
     SimulationResult,
     chen_field,
     integrate_batch,
-    integrate_rk4,
     mode_threshold,
     sync_time,
 )
@@ -143,9 +142,9 @@ def run_scenarios(
 ) -> list[ReportRow]:
     """Run scenarios as run_scenario does each, in one step loop per group.
 
-    A group shares N, the coupling matrix, h, T and record_every; a group of
-    one runs integrate_rk4, a larger one integrate_batch. Either way every
-    member's numbers and artifacts are those of its solo run.
+    A group shares N, the coupling matrix, h, T and record_every and runs in
+    one integrate_batch call; every member's numbers and artifacts are those
+    of its solo run.
     """
     built, groups = [], {}
     for i, s in enumerate(scenarios):
@@ -166,15 +165,11 @@ def run_scenarios(
     for idx in groups.values() if simulate else ():
         sys, sim = built[idx[0]][0], scenarios[idx[0]].sim
         X0 = [initial_state(sys.target, sys.n_nodes, scenarios[i].sim.init_seed) for i in idx]
-        opts = dict(record_every=sim.record_every, record_states=full_states)
-        if len(idx) > 1:
-            plans = [built[i][0].plan for i in idx]
-            batch = integrate_batch(sys, plans, np.array(X0), sim.h, sim.T, **opts)
-        else:
-            try:
-                batch = [integrate_rk4(sys, X0[0], sim.h, sim.T, **opts)]
-            except DivergenceError as exc:
-                batch = [exc]
+        plans = [built[i][0].plan for i in idx]
+        batch = integrate_batch(
+            sys, plans, np.array(X0), sim.h, sim.T,
+            record_every=sim.record_every, record_states=full_states,
+        )
         for i, result in zip(idx, batch):
             results[i] = result
 

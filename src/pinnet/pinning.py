@@ -12,21 +12,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, PinnetError, field
 from .topology import Graph, degrees
 
 __all__ = [
     "PinningPlan",
+    "degree_order",
     "plan_by_degree",
     "plan_explicit",
     "cost",
     "controlled_coupling",
     "plan_to_dict",
     "plan_from_dict",
+    "pins_from_dict",
     "write_plan",
     "read_plan",
 ]
@@ -68,28 +70,29 @@ class PinningPlan:
         return np.asarray(self.gains, dtype=float)
 
 
-def plan_by_degree(
-    g: Graph, strategy: str, count: int, epsilon: float, c: float
-) -> PinningPlan:
-    """Pin `count` nodes chosen by degree, all with gain `epsilon`.
+def degree_order(g: Graph, strategy: str) -> list[int]:
+    """Every node, highest degree first ("largest") or lowest first ("smallest").
 
-    strategy "largest" pins the highest-degree nodes, "smallest" the
-    lowest-degree ones; ties break toward the smaller node index so the
-    pinned set is deterministic.
+    Ties break toward the smaller node index, so the order is deterministic.
     """
     if strategy not in ("largest", "smallest"):
         raise ContractViolationError(f"unknown strategy {strategy!r}")
+    deg = degrees(g)
+    sign = -1 if strategy == "largest" else 1
+    return sorted(range(g.n_nodes), key=lambda i: (sign * deg[i], i))
+
+
+def plan_by_degree(
+    g: Graph, strategy: str, count: int, epsilon: float, c: float
+) -> PinningPlan:
+    """Pin the first `count` nodes of degree_order(g, strategy), all with gain `epsilon`."""
+    order = degree_order(g, strategy)
     if not (1 <= count <= g.n_nodes):
         raise ContractViolationError(f"count {count} outside 1..{g.n_nodes}")
     if epsilon <= 0:
         raise ContractViolationError("epsilon must be positive")
     if c <= 0:
         raise ContractViolationError("coupling strength must be positive")
-    deg = degrees(g)
-    if strategy == "largest":
-        order = sorted(range(g.n_nodes), key=lambda i: (-deg[i], i))
-    else:
-        order = sorted(range(g.n_nodes), key=lambda i: (deg[i], i))
     gains = [0.0] * g.n_nodes
     for i in order[:count]:
         gains[i] = float(epsilon)
@@ -147,12 +150,27 @@ def plan_to_dict(plan: PinningPlan) -> dict:
     }
 
 
+def pins_from_dict(
+    d: dict, where: str = "", n_required: bool = True
+) -> tuple[Optional[int], float, dict[int, float]]:
+    """Read the plan format {"n", "c", "pins": [{"node", "gain"}, ...]}.
+
+    Returns (n, c, gain by node); n is None when absent and not required.
+    Raises ScenarioDefinitionError naming the field (under `where`) that is
+    missing or of the wrong type.
+    """
+    n = field(d, where, "n", int) if n_required or "n" in d else None
+    c = field(d, where, "c", float)
+    gains = {}
+    for k, pin in enumerate(field(d, where, "pins", list)):
+        at = f"{where}.pins[{k}]" if where else f"pins[{k}]"
+        gains[field(pin, at, "node", int)] = field(pin, at, "gain", float)
+    return n, c, gains
+
+
 def plan_from_dict(d: dict) -> PinningPlan:
-    return plan_explicit(
-        int(d["n"]),
-        {int(p["node"]): float(p["gain"]) for p in d["pins"]},
-        float(d["c"]),
-    )
+    n, c, gains = pins_from_dict(d)
+    return plan_explicit(n, gains, c)
 
 
 def write_plan(plan: PinningPlan, path) -> None:
@@ -162,5 +180,10 @@ def write_plan(plan: PinningPlan, path) -> None:
 
 
 def read_plan(path) -> PinningPlan:
+    """Read a plan file; a malformed one raises a PinnetError naming the file."""
     with open(path) as fh:
-        return plan_from_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        return plan_from_dict(d)
+    except PinnetError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from .errors import ScenarioDefinitionError
-from .pinning import PinningPlan, plan_by_degree, plan_explicit
-from .topology import ClusterSpec, Graph, barabasi_albert, cluster_stars, degrees, star
+from .errors import ScenarioDefinitionError, checked, field
+from .pinning import PinningPlan, degree_order, pins_from_dict, plan_by_degree, plan_explicit
+from .topology import ClusterSpec, Graph, barabasi_albert, cluster_stars, star
 
 __all__ = [
     "TopologySpec",
@@ -71,14 +72,18 @@ class TopologySpec:
 
     @staticmethod
     def from_dict(d: dict) -> "TopologySpec":
-        kind = d.get("kind")
+        get = partial(field, d, "topology")
+        kind = get("kind", str, None)
         if kind == "star":
-            return TopologySpec("star", n=int(d["n"]))
+            return TopologySpec("star", n=get("n", int))
         if kind == "cluster":
-            return TopologySpec("cluster", branch_sizes=tuple(int(x) for x in d["branch_sizes"]))
+            sizes = get("branch_sizes", list)
+            return TopologySpec("cluster", branch_sizes=tuple(
+                checked(x, int, f"topology.branch_sizes[{k}]") for k, x in enumerate(sizes)
+            ))
         if kind == "ba":
             return TopologySpec(
-                "ba", n=int(d["n"]), m0=int(d["m0"]), m=int(d["m"]), seed=int(d["seed"])
+                "ba", n=get("n", int), m0=get("m0", int), m=get("m", int), seed=get("seed", int)
             )
         raise ScenarioDefinitionError(f"unknown topology kind {kind!r}")
 
@@ -112,9 +117,8 @@ class PlanSpec:
         if self.kind == "by_degree":
             return plan_by_degree(g, self.strategy, int(self.count), float(self.gain), self.c)
         if self.kind == "mixed":
-            deg = degrees(g)
-            big = sorted(range(g.n_nodes), key=lambda i: (-deg[i], i))[: int(self.largest)]
-            small = sorted(range(g.n_nodes), key=lambda i: (deg[i], i))[: int(self.smallest)]
+            big = degree_order(g, "largest")[: int(self.largest)]
+            small = degree_order(g, "smallest")[: int(self.smallest)]
             if set(big) & set(small):
                 raise ScenarioDefinitionError("mixed plan: largest and smallest sets overlap")
             return plan_explicit(g.n_nodes, {i: float(self.gain) for i in big + small}, self.c)
@@ -138,31 +142,30 @@ class PlanSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "PlanSpec":
-        if "pins" in d:  # the pinning-plan file format written by the pin command
-            return PlanSpec(
-                "explicit", float(d["c"]),
-                gains={str(p["node"]): float(p["gain"]) for p in d["pins"]},
-                n=int(d["n"]) if "n" in d else None,
-            )
-        kind = d.get("kind")
-        c = float(d["c"])
+        if isinstance(d, dict) and "pins" in d:  # the plan file written by the pin command
+            n, c, gains = pins_from_dict(d, "plan", n_required=False)
+            return PlanSpec("explicit", c, gains=gains, n=n)
+        get = partial(field, d, "plan")
+        kind = get("kind", str, None)
+        c = get("c", float)
         if kind == "none":
             return PlanSpec("none", c)
         if kind == "by_degree":
             return PlanSpec(
-                "by_degree", c, strategy=d["strategy"], count=int(d["count"]),
-                gain=float(d["gain"]),
+                "by_degree", c, strategy=get("strategy", str), count=get("count", int),
+                gain=get("gain", float),
             )
         if kind == "mixed":
             return PlanSpec(
-                "mixed", c, largest=int(d["largest"]), smallest=int(d["smallest"]),
-                gain=float(d["gain"]),
+                "mixed", c, largest=get("largest", int), smallest=get("smallest", int),
+                gain=get("gain", float),
             )
         if kind == "explicit":
-            return PlanSpec(
-                "explicit", c, gains=dict(d["gains"]),
-                n=int(d["n"]) if "n" in d else None,
-            )
+            gains = {
+                _node_key(k): checked(v, float, f"plan.gains.{k}")
+                for k, v in get("gains", dict).items()
+            }
+            return PlanSpec("explicit", c, gains=gains, n=get("n", int, None))
         raise ScenarioDefinitionError(f"unknown plan kind {kind!r}")
 
 
@@ -197,10 +200,10 @@ class SimParams:
 
     @staticmethod
     def from_dict(d: dict) -> "SimParams":
+        get = partial(field, d, "sim")
         return SimParams(
-            h=float(d["h"]), T=float(d["T"]), tol=float(d.get("tol", 1e-2)),
-            init_seed=d.get("init_seed", 0),
-            record_every=int(d.get("record_every", 5)),
+            h=get("h", float), T=get("T", float), tol=get("tol", float, 1e-2),
+            init_seed=get("init_seed", int, 0), record_every=get("record_every", int, 5),
         )
 
 
@@ -225,18 +228,22 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
-        try:
-            return Scenario(
-                name=str(d["name"]),
-                topology=TopologySpec.from_dict(d["topology"]),
-                plan=PlanSpec.from_dict(d["plan"]),
-                sim=SimParams.from_dict(d["sim"]),
-                expected_cf=(
-                    float(d["expected_cf"]) if d.get("expected_cf") is not None else None
-                ),
-            )
-        except KeyError as exc:
-            raise ScenarioDefinitionError(f"scenario is missing field {exc}") from exc
+        get = partial(field, d, "scenario")
+        return Scenario(
+            name=get("name", str),
+            topology=TopologySpec.from_dict(get("topology", dict)),
+            plan=PlanSpec.from_dict(get("plan", dict)),
+            sim=SimParams.from_dict(get("sim", dict)),
+            expected_cf=None if d.get("expected_cf") is None else get("expected_cf", float),
+        )
+
+
+def _node_key(key: str) -> int:
+    """An explicit plan's gains are keyed by node index, as a JSON string."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ScenarioDefinitionError(f"plan.gains key {key!r} is not a node index") from None
 
 
 _STAR9 = TopologySpec("star", n=9)

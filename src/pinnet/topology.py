@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidSizeError
+from .errors import ContractViolationError, InvalidSizeError, PinnetError
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -26,6 +26,7 @@ __all__ = [
     "coupling_matrix",
     "is_connected",
     "degrees",
+    "format_edge_list",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -201,23 +202,42 @@ def degrees(g: Graph) -> list[int]:
     return deg
 
 
-def write_edge_list(g: Graph, path) -> None:
-    """Write the text edge-list format: header ``N <n>``, then one ``i j`` per line."""
+def format_edge_list(g: Graph) -> str:
+    """The text edge-list format: header ``N <n>``, then one ``i j`` per line."""
     lines = [f"N {g.n_nodes}"]
     lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
+    return "\n".join(lines) + "\n"
+
+
+def write_edge_list(g: Graph, path) -> None:
+    """Write :func:`format_edge_list` of `g` to `path`."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_edge_list(g))
 
 
 def read_edge_list(path) -> Graph:
-    """Read the edge-list format written by :func:`write_edge_list`."""
+    """Read the edge-list format written by :func:`write_edge_list`.
+
+    A malformed file raises a PinnetError naming the file and the line.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("N "):
+        lines = [(k, ln.split()) for k, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1][0] != "N":
         raise InvalidSizeError(f"{path}: expected header line 'N <n>'")
-    n = int(lines[0].split()[1])
+    k, header = lines[0]
+    try:
+        _, n = header
+        n = int(n)
+    except ValueError:
+        raise InvalidSizeError(f"{path}:{k}: expected header 'N <n>', got {header}") from None
     edges = []
-    for ln in lines[1:]:
-        i, j = ln.split()
-        edges.append((int(i), int(j)))
-    return Graph.from_edges(n, edges)
+    for k, fields in lines[1:]:
+        try:
+            i, j = fields
+            edges.append((int(i), int(j)))
+        except ValueError:
+            raise ContractViolationError(f"{path}:{k}: expected an edge 'i j', got {fields}") from None
+    try:
+        return Graph.from_edges(n, edges)
+    except PinnetError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -33,32 +33,33 @@ def derived_epsilon(base, i, gain):
 def fig8b_sweep(tmp_path_factory):
     """The fig8b gain sweep at T = 2, batched and one member at a time.
 
-    Both runs go through the harness; the integrators it calls are wrapped
-    so the tests can compare the in-memory results, not only the artifacts.
+    Both runs go through the harness; the integrator it calls is wrapped so
+    the tests can compare the in-memory results, not only the artifacts.
+    Each solo run is a batch of one, captured as its single result.
     """
     base = get_scenario("fig8b")
     base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=2.0))
     batched_dir = tmp_path_factory.mktemp("batched")
     solo_dir = tmp_path_factory.mktemp("solo")
     captured = {"batch": [], "solo": []}
+    integrate = pinnet.harness.integrate_batch
 
-    def capture(kind, fn):
+    def capture(kind):
         def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
+            out = integrate(*args, **kwargs)
             captured[kind].append(out)
             return out
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pinnet.harness, "integrate_batch",
-                   capture("batch", pinnet.harness.integrate_batch))
-        mp.setattr(pinnet.harness, "integrate_rk4",
-                   capture("solo", pinnet.harness.integrate_rk4))
+        mp.setattr(pinnet.harness, "integrate_batch", capture("batch"))
         report = sweep(base, "epsilon", SWEEP_GAINS, out_dir=batched_dir)
+        mp.setattr(pinnet.harness, "integrate_batch", capture("solo"))
         solo_rows = [
             run_scenario(derived_epsilon(base, i, g), out_dir=solo_dir)
             for i, g in enumerate(SWEEP_GAINS)
         ]
+    captured["solo"] = [result for (result,) in captured["solo"]]
     return report, solo_rows, captured, batched_dir, solo_dir
 
 

@@ -8,12 +8,14 @@ from pinnet.errors import DivergenceError
 from pinnet.scenarios import get_scenario
 
 
-def test_topology_star_round_trip(tmp_path):
+def test_topology_star_round_trip(tmp_path, capsys):
     out = tmp_path / "star.txt"
     assert main(["topology", "star", "--n", "9", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "N 9"
     assert len(lines) == 9
+    assert main(["topology", "star", "--n", "9"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_topology_cluster_and_ba(tmp_path):
@@ -220,14 +222,41 @@ def test_negative_seed_exits_2(capsys):
     assert "sim.init_seed must be a non-negative integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
-def test_scenario_file_bad_seed_exits_2(seed, tmp_path, capsys):
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param("sim", "init_seed", -1, id="-1"),
+    pytest.param("sim", "init_seed", 1.5, id="1.5"),
+    ("topology", "n", "abc"),
+    ("topology", "n", 9.0),
+    ("sim", "record_every", 2.5),
+    ("sim", "h", True),
+    ("sim", "T", "5"),
+    ("plan", "count", False),
+    ("plan", "gain", "1.5"),
+])
+def test_scenario_file_bad_field_exits_2(section, key, value, tmp_path, capsys):
     scenario = get_scenario("fig2b").to_dict()
-    scenario["sim"]["init_seed"] = seed
-    path = tmp_path / "bad_seed.json"
+    scenario[section][key] = value
+    path = tmp_path / "bad_field.json"
     path.write_text(json.dumps(scenario))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "sim.init_seed" in capsys.readouterr().err
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option,text,where", [
+    ("--edges", "N 3\n1\n", "edges:2"),
+    ("--edges", "N 3\n0 1 2\n", "edges:2"),
+    ("--edges", "N x\n0 1\n", "edges:1"),
+    ("--plan", '{"n": 3, "c": 1.0}', "plan: pins is missing"),
+    ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": "a", "gain": 1.0}]}', "plan: pins[0].node"),
+])
+def test_malformed_input_file_exits_2(option, text, where, tmp_path, capsys):
+    files = {"--edges": tmp_path / "edges", "--plan": tmp_path / "plan"}
+    main(["topology", "star", "--n", "3", "--out", str(files["--edges"])])
+    files[option].write_text(text)
+    argv = ["spectrum"] + [arg for opt, path in files.items() for arg in (opt, str(path))]
+    assert main(argv) == 2
+    assert f"{tmp_path}/{where}" in capsys.readouterr().err
 
 
 def test_topology_negative_seed_exits_2(tmp_path, capsys):
@@ -253,10 +282,10 @@ def test_reproduce_unknown_family_exits_2(capsys):
 
 
 def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
-    def explode(*args, **kwargs):
-        raise DivergenceError(0.25)
+    def explode(sys, plans, *args, **kwargs):
+        return [DivergenceError(0.25) for _ in plans]
 
-    monkeypatch.setattr(pinnet.harness, "integrate_rk4", explode)
+    monkeypatch.setattr(pinnet.harness, "integrate_batch", explode)
     code = main(["simulate", "fig2b", "--h", "1e-3", "--T", "0.5"])
     assert code == 3
     assert "diverged" in capsys.readouterr().out

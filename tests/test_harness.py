@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinnet.errors import ComparisonDefinitionError, ScenarioDefinitionError
+from conftest import mutated
+from pinnet.errors import ComparisonDefinitionError, PinnetError, ScenarioDefinitionError
 from pinnet.harness import (
     ComparisonReport,
     initial_state,
@@ -12,7 +15,9 @@ from pinnet.harness import (
     run_scenario,
     sweep,
 )
-from pinnet.scenarios import FAMILIES, SCENARIOS, Scenario, get_scenario
+from pinnet.scenarios import (
+    FAMILIES, SCENARIOS, PlanSpec, Scenario, SimParams, TopologySpec, get_scenario,
+)
 
 EXPECTED_CFS = {
     "fig2a": 3000.0, "fig2b": 120.0,
@@ -23,6 +28,42 @@ EXPECTED_CFS = {
     "fig8a": 12000.0, "fig8b": 528.0,
     "fig9a": 660.0, "fig9b": 660.0, "fig9c": 660.0,
 }
+
+
+counts = st.integers(1, 30)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+topology_specs = st.one_of(
+    st.builds(TopologySpec, st.just("star"), n=counts),
+    st.builds(TopologySpec, st.just("cluster"), branch_sizes=st.lists(counts, min_size=1).map(
+        lambda sizes: tuple(sorted(sizes)))),
+    st.builds(TopologySpec, st.just("ba"), n=counts, m0=counts, m=counts, seed=st.integers(0)),
+)
+plan_specs = st.one_of(
+    st.builds(PlanSpec, st.just("none"), positive),
+    st.builds(PlanSpec, st.just("by_degree"), positive, strategy=st.sampled_from(
+        ["largest", "smallest"]), count=counts, gain=positive),
+    st.builds(PlanSpec, st.just("mixed"), positive, largest=counts, smallest=counts, gain=positive),
+    st.builds(PlanSpec, st.just("explicit"), positive, gains=st.dictionaries(counts, positive),
+              n=st.none() | counts),
+)
+scenarios = st.builds(
+    Scenario, st.text(min_size=1), topology_specs, plan_specs,
+    st.builds(SimParams, h=positive, T=positive, tol=positive, init_seed=st.integers(0),
+              record_every=counts),
+    expected_cf=st.none() | positive,
+)
+
+# Valid scenario documents for the fuzz test to break: every topology kind and
+# every plan form, the plan file written by `pinnet pin` included.
+_STAR = get_scenario("fig2a").to_dict()
+FUZZ_BASES = [
+    _STAR,
+    dict(_STAR, plan={"n": 9, "c": 10.0, "pins": [{"node": 0, "gain": 300.0}]}),
+    dict(_STAR, plan={"kind": "explicit", "c": 10.0, "gains": {"0": 300.0}}),
+    get_scenario("fig5b").to_dict(),
+    get_scenario("fig6a").to_dict(),
+    get_scenario("fig9b").to_dict(),
+]
 
 
 def quick(scenario: Scenario, h=1e-3, T=0.5) -> Scenario:
@@ -45,7 +86,21 @@ class TestScenarioRegistry:
 
     def test_scenario_json_round_trip(self):
         for scenario in SCENARIOS.values():
-            assert Scenario.from_dict(scenario.to_dict()) == scenario
+            assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=scenarios)
+    def test_generated_scenario_json_round_trip(self, scenario):
+        assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.sampled_from(FUZZ_BASES).flatmap(mutated))
+    def test_malformed_scenario_raises_pinnet_error(self, doc):
+        try:
+            scenario = Scenario.from_dict(doc)
+            scenario.plan.build(scenario.topology.build())
+        except PinnetError:
+            pass
 
     @pytest.mark.parametrize("field,value", [
         ("h", float("nan")), ("h", float("inf")), ("h", 0.0),

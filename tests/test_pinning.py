@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph
-from pinnet.errors import ContractViolationError
+from conftest import TMP_FILE_SETTINGS, mutated, random_connected_graph
+from pinnet.errors import ContractViolationError, PinnetError
 from pinnet.pinning import (
     PinningPlan,
     controlled_coupling,
@@ -173,13 +177,32 @@ class TestPlanValidation:
             PinningPlan(3, (0.0,) * 4, 1.0)
 
 
+@st.composite
+def plans(draw):
+    n = draw(st.integers(1, 12))
+    gain = st.floats(min_value=1e-6, max_value=1e6)
+    gains = draw(st.dictionaries(st.integers(0, n - 1), gain, max_size=n))
+    return plan_explicit(n, gains, draw(st.floats(min_value=0.0, max_value=1e3)))
+
+
 class TestPlanJson:
-    def test_round_trip(self, tmp_path):
-        plan = plan_explicit(9, {0: 300.0, 4: 1.25}, 7.0)
+    @TMP_FILE_SETTINGS
+    @given(plan=plans())
+    def test_round_trip(self, tmp_path, plan):
         assert plan_from_dict(plan_to_dict(plan)) == plan
         path = tmp_path / "plan.json"
         write_plan(plan, path)
         assert read_plan(path) == plan
+
+    @TMP_FILE_SETTINGS
+    @given(doc=mutated(plan_to_dict(plan_explicit(4, {0: 3.0, 2: 1.5}, 2.0))))
+    def test_malformed_plan_raises_pinnet_error(self, tmp_path, doc):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        try:
+            read_plan(path)
+        except PinnetError as exc:
+            assert str(path) in str(exc)
 
     def test_dict_shape(self):
         d = plan_to_dict(plan_explicit(3, {1: 2.0}, 4.0))

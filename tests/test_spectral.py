@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -280,12 +282,41 @@ def _pinned_instance(seed, n):
     return rng, A, pinned
 
 
+def _positive_definite_exact(S):
+    """Whether the symmetric float matrix S is positive definite, decided exactly.
+
+    Gaussian elimination in rational arithmetic: S is positive definite
+    exactly when every pivot, a ratio of leading principal minors, is positive.
+    """
+    a = [[Fraction(x) for x in row] for row in S.tolist()]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
 def _oracle_below(M, level):
     """The documented definiteness predicate, decided by the Jacobi oracle.
 
     An eigenvalue within 1e-12 * (1 + ||M||_F) of -level counts as not below.
+    Where Jacobi's lambda_1 lies within 1e-11 * (1 + ||M||_F) of that shifted
+    threshold, ten times its stopping tolerance, its rounding can decide the
+    wrong way; there the shifted matrix, formed in floating point as the
+    predicate defines it, is tested for definiteness exactly instead.
     """
-    return jacobi_eig(M).lambda_max < -level - 1e-12 * (1.0 + np.linalg.norm(M))
+    fro = np.linalg.norm(M)
+    shift = level + 1e-12 * (1.0 + fro)
+    lam1 = jacobi_eig(M).lambda_max
+    if abs(lam1 + shift) > 1e-11 * (1.0 + fro):
+        return lam1 < -shift
+    shifted = -M
+    shifted[np.diag_indices_from(shifted)] -= shift
+    return _positive_definite_exact(shifted)
 
 
 def _oracle_min_gain(A, pinned, margin, tol):
@@ -337,6 +368,9 @@ class TestDefinitenessOracle:
     # lambda_1 is flat in the gain near the answer 128, so the slack moves
     # the answer by about 2e-6, more than tol, against a slack-free bisection.
     @example(seed=0, n=2, margin=0.9921875)
+    # Near the answer 101020.535 lambda_1 moves by 1e-10 per unit gain, so a
+    # rounding of 2e-16 in Jacobi's lambda_1 moves the answer by 2e-6.
+    @example(seed=0, n=2, margin=0.99999)
     def test_min_gain_agrees_with_jacobi_bisection(self, seed, n, margin):
         _, A, pinned = _pinned_instance(seed, n)
         unpinned = [i for i in range(n) if i not in pinned]

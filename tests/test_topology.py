@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph
-from pinnet.errors import InvalidSizeError
+from conftest import TMP_FILE_SETTINGS, random_connected_graph
+from pinnet.errors import InvalidSizeError, PinnetError
 from pinnet.spectral import eig_symmetric
 from pinnet.topology import (
     ClusterSpec,
@@ -11,6 +13,7 @@ from pinnet.topology import (
     cluster_stars,
     coupling_matrix,
     degrees,
+    format_edge_list,
     is_connected,
     read_edge_list,
     star,
@@ -205,17 +208,47 @@ class TestConnectivityAndDegrees:
         assert deg == [4, 5, 6] + [1] * 9
 
 
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph.from_edges(n, draw(st.sets(pairs, max_size=30)))
+
+
+# Lines of near-valid edge-list text: headers and edges of every arity and
+# token type, so the reader meets each malformation.
+edge_list_texts = st.one_of(
+    st.lists(
+        st.lists(st.sampled_from(["N", "0", "1", "2", "3", "-1", "x", "1.5"]), max_size=4)
+        .map(" ".join),
+        max_size=5,
+    ).map("\n".join),
+    st.text(max_size=30),
+)
+
+
 class TestEdgeListIO:
-    def test_round_trip(self, tmp_path, rng):
-        g = random_connected_graph(rng, 11)
+    @TMP_FILE_SETTINGS
+    @given(g=graphs())
+    def test_round_trip(self, tmp_path, g):
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert read_edge_list(path) == g
 
+    @TMP_FILE_SETTINGS
+    @given(text=edge_list_texts)
+    def test_malformed_text_raises_pinnet_error(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        try:
+            read_edge_list(path)
+        except PinnetError as exc:
+            assert str(path) in str(exc)
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "g.txt"
         write_edge_list(star(3), path)
-        assert path.read_text() == "N 3\n0 1\n0 2\n"
+        assert path.read_text() == format_edge_list(star(3)) == "N 3\n0 1\n0 2\n"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
