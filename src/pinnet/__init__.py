@@ -58,7 +58,6 @@ from .dynamics import (
     mode_threshold,
     network_rhs,
     quad_condition_sample,
-    spectral_abscissa_3,
     sync_error,
     sync_time,
 )

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .errors import DivergenceError, PinnetError, ScenarioDefinitionError
+from .errors import (
+    DivergenceError, PinnetError, ScenarioDefinitionError, checked, field, read_json,
+)
 from .harness import (
     ComparisonReport, run_comparison, run_scenario, run_scenarios, sweep, write_report,
 )
@@ -61,8 +62,7 @@ def _load_scenario(ref: str) -> Scenario:
     """A scenario reference is a shipped name or a path to a scenario JSON."""
     path = Path(ref)
     if path.suffix == ".json" or path.exists():
-        with open(path) as fh:
-            return Scenario.from_dict(json.load(fh))
+        return Scenario.from_dict(read_json(path))
     return get_scenario(ref)
 
 
@@ -126,9 +126,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.scenarios) as fh:
-        spec = json.load(fh)
-    refs = spec["scenarios"] if isinstance(spec, dict) else spec
+    spec = read_json(args.scenarios)
+    if isinstance(spec, dict):
+        refs = field(spec, "", "scenarios", list)
+    else:
+        refs = checked(spec, list, "comparison document")
     scenarios = []
     for ref in refs:
         sc = Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(str(ref))
@@ -231,7 +233,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (PinnetError, OSError, json.JSONDecodeError) as exc:
+    except (PinnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFINITION
 

@@ -10,8 +10,8 @@ non-synchronization.
 
 Local stability of the synchronized state reduces to n-dimensional mode
 systems Df(s) + c*lambda_i*Gamma, one per eigenvalue of the controlled
-coupling matrix; for three-dimensional nodes their spectral abscissa comes
-from the closed-form cubic.
+coupling matrix; for three-dimensional nodes the threshold on c*lambda_i
+comes from the Routh-Hurwitz conditions, polynomials in c*lambda_i.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "sync_error",
     "sync_time",
     "mode_matrix",
-    "spectral_abscissa_3",
     "mode_threshold",
     "modal_equivalence_check",
     "quad_condition_sample",
@@ -340,84 +339,55 @@ def mode_matrix(sys: NetworkSystem, lambda_i: float) -> np.ndarray:
     return jac + sys.plan.coupling_strength * lambda_i * np.diag(sys.gamma)
 
 
-def _cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
-def spectral_abscissa_3(M: np.ndarray) -> float:
-    """Max real part of the eigenvalues of a 3x3 matrix, via the closed-form cubic.
-
-    The characteristic polynomial s^3 + a1 s^2 + a2 s + a3 is depressed and
-    solved trigonometrically (three real roots) or by Cardano's formula (one
-    real root plus a conjugate pair whose real part is -y1/2 - a1/3).
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ContractViolationError(f"expected a 3x3 matrix, got shape {M.shape}")
-    tr = float(np.trace(M))
-    tr2 = float(np.trace(M @ M))
-    det = float(
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
-    a1 = -tr
-    a2 = 0.5 * (tr * tr - tr2)
-    a3 = -det
-
-    p = a2 - a1 * a1 / 3.0
-    q = 2.0 * a1**3 / 27.0 - a1 * a2 / 3.0 + a3
-    shift = -a1 / 3.0
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc < 0.0:
-        # One real root; the conjugate pair has real part -y1/2.
-        w = math.sqrt(q * q / 4.0 + p**3 / 27.0)
-        y1 = _cbrt(-q / 2.0 + w) + _cbrt(-q / 2.0 - w)
-        return max(y1, -0.5 * y1) + shift
-    if p == 0.0:
-        return shift  # triple root
-    m = 2.0 * math.sqrt(-p / 3.0)
-    cos3 = 3.0 * q / (p * m)
-    phi = math.acos(min(1.0, max(-1.0, cos3)))
-    return m * math.cos(phi / 3.0) + shift
-
-
-def mode_threshold(sys: NetworkSystem, tol: float) -> float:
+def mode_threshold(sys: NetworkSystem) -> float:
     """Stability boundary of the mode systems along the coupling axis.
 
-    Returns sigma* < 0 with Df(s) + sigma*Gamma stable for sigma below it and
-    unstable at it, located by bisection to `tol`. Network modes with
-    c * lambda_i < sigma* are locally stable. Raises RegionShapeError when the
-    search bracket shows no sign change or stability is not one-sided.
+    The characteristic polynomial of Df(s) + sigma*Gamma is
+    s^3 + a1 s^2 + a2 s + a3, with a1, a2, a3 polynomials in sigma; the mode
+    system is stable exactly when a1, a3 and a1 a2 - a3 are all positive
+    (Routh-Hurwitz). Their real roots cut the sigma axis into intervals of
+    constant stability, and one point of each decides it. Returns sigma*
+    just above the root r where the stable set (-inf, r) ends, by the slack
+    1e-12 * (1 + |r|), so the mode system is unstable at sigma* and stable
+    below r. Network modes with c * lambda_i < sigma* are locally stable.
+    Raises RegionShapeError when the mode system is stable at sigma = 0,
+    stable for no sigma, or stable on a set other than one half-line (-inf, r).
     """
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
     if sys.dynamics.dimension != 3:
         raise ContractViolationError("mode threshold implemented for 3-dimensional nodes")
     jac = sys.dynamics.jacobian(sys.target, 0.0)
-    gamma_diag = np.diag(sys.gamma)
+    # Entries as polynomials in sigma, highest power first; np.convolve
+    # multiplies two such coefficient arrays.
+    m = [[np.array([sys.gamma[i], jac[i, i]]) if i == j else jac[i, j:j + 1] for j in range(3)]
+         for i in range(3)]
 
-    def abscissa(sigma: float) -> float:
-        return spectral_abscissa_3(jac + sigma * gamma_diag)
+    def minor(rows, cols):
+        (i, k), (j, l) = rows, cols
+        return np.polysub(np.convolve(m[i][j], m[k][l]), np.convolve(m[i][l], m[k][j]))
 
-    lo, hi = -1.0e4, 0.0
-    if abscissa(hi) < 0.0:
+    a1 = -(m[0][0] + m[1][1] + m[2][2])
+    lower = minor((1, 2), (1, 2))
+    a2 = np.polyadd(np.polyadd(minor((0, 1), (0, 1)), minor((0, 2), (0, 2))), lower)
+    a3 = -np.polyadd(
+        np.polysub(np.convolve(m[0][0], lower), np.convolve(m[0][1], minor((1, 2), (0, 2)))),
+        np.convolve(m[0][2], minor((1, 2), (0, 1))),
+    )
+    hurwitz = (a1, a3, np.polysub(np.convolve(a1, a2), a3))
+    # Real parts of complex roots only add cuts inside intervals of one sign.
+    cuts = np.unique(np.concatenate([np.roots(p).real for p in hurwitz]))
+    reach = 1.0 + 2.0 * np.abs(cuts).max(initial=0.0)
+    points = np.concatenate([[-reach], 0.5 * (cuts[1:] + cuts[:-1]), [reach]])
+    stable = np.all([np.polyval(p, points) > 0.0 for p in hurwitz], axis=0)
+
+    if all(p[-1] > 0.0 for p in hurwitz):
         raise RegionShapeError("mode system already stable at sigma = 0")
-    if abscissa(lo) >= 0.0:
-        raise RegionShapeError(f"mode system not stable at sigma = {lo:g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if abscissa(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    sigma_star = hi
-    for probe in (1.5 * sigma_star - 1.0, 2.0 * sigma_star - 10.0, -1.0e4):
-        if abscissa(probe) >= 0.0:
-            raise RegionShapeError(
-                f"stability region is not one-sided: unstable at sigma = {probe:g}"
-            )
-    return sigma_star
+    if not stable.any():
+        raise RegionShapeError("mode system is stable for no sigma")
+    k = int(np.argmin(stable))  # the first unstable interval
+    if k == 0 or stable[k:].any():
+        raise RegionShapeError("stability region is not one half-line (-inf, r)")
+    r = float(cuts[k - 1])
+    return r + 1e-12 * (1.0 + abs(r))
 
 
 def modal_equivalence_check(

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the typed field reader.
+"""Exception types shared across the package, and the readers of input files
+and of typed fields.
 
 The CLI maps these onto exit codes: scenario/comparison definition
 problems exit with 2, simulation divergence with 3.
 """
 
+import json
 import numbers
 
 
@@ -32,7 +34,8 @@ class BoundaryCaseError(PinnetError, RuntimeError):
 
 
 class RegionShapeError(PinnetError, RuntimeError):
-    """A stability-threshold search found no sign change in its bracket."""
+    """A mode system's stable set along the coupling axis is not one half-line
+    (-inf, r) with r <= 0: it is stable at 0, stable nowhere, or split."""
 
 
 class InvalidDomainError(PinnetError, ValueError):
@@ -95,3 +98,23 @@ def field(d, where: str, key: str, kind: type, default=_REQUIRED):
             raise ScenarioDefinitionError(f"{name} is missing")
         return default
     return checked(d[key], kind, name)
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file `path`; other bytes raise a PinnetError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ContractViolationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
+def read_json(path):
+    """The JSON document in the file `path`; malformed JSON raises a PinnetError naming it."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractViolationError(f"{path}: not JSON ({exc})") from None

@@ -155,7 +155,7 @@ def run_scenarios(
                 f"{s.name}: cost {cf!r} does not match expected {s.expected_cf!r}"
             )
         lam_max = controlled_spectrum(sys.coupling, sys.plan).lambda_max
-        sigma_star = mode_threshold(sys, 1e-6)
+        sigma_star = mode_threshold(sys)
         built.append((sys, ReportRow(
             s.name, cf, sys.plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
         )))

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, PinnetError, field
+from .errors import ContractViolationError, PinnetError, field, read_json
 from .topology import Graph, degrees
 
 __all__ = [
@@ -181,8 +181,7 @@ def write_plan(plan: PinningPlan, path) -> None:
 
 def read_plan(path) -> PinningPlan:
     """Read a plan file; a malformed one raises a PinnetError naming the file."""
-    with open(path) as fh:
-        d = json.load(fh)
+    d = read_json(path)
     try:
         return plan_from_dict(d)
     except PinnetError as exc:

@@ -6,9 +6,9 @@ questions that need only a yes/no answer, "does every eigenvalue lie below
 exactly when the matrix tested is positive definite (Sylvester's law of
 inertia). On top of these sit the controlled-spectrum computation,
 closed-form sufficient gain bounds for star and cluster-of-stars networks, a
-Schur-complement feasibility test for a requested spectral margin, and a
-bisection search for the minimal uniform gain (the feasibility predicate is
-monotone in the gain, so bisection is exact to tolerance).
+Schur-complement feasibility test for a requested spectral margin, and the
+minimal uniform gain in closed form: minus the least eigenvalue of one Schur
+complement, confirmed by the definiteness test.
 """
 
 from __future__ import annotations
@@ -204,16 +204,19 @@ def schur_feasible(
 def min_uniform_gain(
     A: np.ndarray, pinned: Iterable[int], margin: float, tol: float
 ) -> Optional[float]:
-    """Smallest uniform gain (within tol) pushing the controlled spectrum below -margin.
+    """Smallest uniform gain pushing the controlled spectrum below -margin.
 
-    Returns None when no finite gain works: the largest eigenvalue of the
-    controlled matrix is bounded below by that of the unpinned principal
-    block, which is its limit as the gain grows without bound. The
-    satisfied-set is an up-set in the gain, so bisection applies. Each
-    probe is a Cholesky definiteness test, not an eigendecomposition, so the
-    answer is minimal within tol for "below -margin by the slack"; where
-    lambda_1 is nearly flat in the gain that can sit above the slack-free
-    threshold by more than tol.
+    "Below" is the definiteness test, with its slack taken on the controlled
+    matrix at the answer; the returned gain passes that test. With
+    M = -(A + level I), M + eps I_P is positive definite exactly when the
+    unpinned block M_UU is and so is S + eps I, S = M_PP - M_PU M_UU^{-1} M_UP,
+    so the gain is max(0, -lambda_min(S)), found first with the unpinned
+    block's slack, then with the slack at that estimate. Returns None when no
+    finite gain works: lambda_1 of the controlled matrix tends to that of the
+    unpinned block as the gain grows. Raises BoundaryCaseError when roundoff
+    leaves the answer uncertain by more than tol: an eigenvalue error of one
+    unit roundoff of ||A~||_F moves it by that times 1 + ||z||^2,
+    z = M_UU^{-1} M_UP w for the eigenvector w of lambda_min(S).
     """
     if not tol > 0:
         raise ContractViolationError("tol must be positive")
@@ -221,26 +224,32 @@ def min_uniform_gain(
         raise ContractViolationError("margin must be positive")
     A = _symmetric(A)
     unpinned, pinned_list = _split_blocks(A, pinned)
-    if not _below(A[np.ix_(unpinned, unpinned)], margin):
-        return None
 
-    def satisfied(eps: float) -> bool:
+    def controlled(eps: float) -> np.ndarray:
         a_ctrl = A.copy()
         a_ctrl[pinned_list, pinned_list] -= eps
-        return _below(a_ctrl, margin)
+        return a_ctrl
 
-    if satisfied(0.0):
-        return 0.0
-    hi = 1.0
-    while not satisfied(hi):
-        hi *= 2.0
-        if hi > 2.0**60:  # only when the block sits within the slack of -margin
-            raise NumericalFailureError("gain expansion failed to find a feasible point")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    def schur_gain(slack_of: np.ndarray) -> tuple[float, float]:
+        M = -A
+        M[np.diag_indices_from(M)] -= margin + _DEFINITE_SLACK * (1.0 + np.linalg.norm(slack_of))
+        chol = np.linalg.cholesky(M[np.ix_(unpinned, unpinned)])
+        y = np.linalg.solve(chol, M[np.ix_(unpinned, pinned_list)])
+        lam, w = np.linalg.eigh(M[np.ix_(pinned_list, pinned_list)] - y.T @ y)
+        z = np.linalg.solve(chol.T, y @ w[:, 0])
+        return max(0.0, -float(lam[0])), 1.0 + float(z @ z)
+
+    try:
+        eps, _ = schur_gain(A[np.ix_(unpinned, unpinned)])
+    except np.linalg.LinAlgError:
+        return None
+    try:
+        eps, amplification = schur_gain(controlled(eps))
+    except np.linalg.LinAlgError:
+        raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
+    err = np.finfo(float).eps * np.linalg.norm(controlled(eps)) * amplification
+    if err <= tol:
+        for gain in (eps, eps + err):
+            if _below(controlled(gain), margin):
+                return gain
+    raise BoundaryCaseError(f"minimal gain {eps!r} uncertain by {err:.3g}, tol {tol:g}")

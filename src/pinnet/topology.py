@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidSizeError, PinnetError
+from .errors import ContractViolationError, InvalidSizeError, PinnetError, read_text
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -220,8 +220,8 @@ def read_edge_list(path) -> Graph:
 
     A malformed file raises a PinnetError naming the file and the line.
     """
-    with open(path) as fh:
-        lines = [(k, ln.split()) for k, ln in enumerate(fh, 1) if ln.strip()]
+    text = read_text(path)
+    lines = [(k, ln.split()) for k, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines or lines[0][1][0] != "N":
         raise InvalidSizeError(f"{path}: expected header line 'N <n>'")
     k, header = lines[0]

@@ -3,12 +3,16 @@
 ``jacobi_eig`` is a cyclic Jacobi eigensolver written independently of
 LAPACK; the tests use it as the oracle for the package's ``eig_symmetric``
 (which calls ``np.linalg.eigh``) and for its Cholesky definiteness tests.
+``spectral_abscissa_3`` solves the characteristic cubic of a 3x3 matrix in
+closed form; it is the oracle for ``pinnet.dynamics.mode_threshold``, which
+finds the stability threshold from the Routh-Hurwitz polynomials instead.
 The report helpers below check spectral invariants and are used only by
 tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,3 +161,45 @@ def evaluate_plan(A: np.ndarray, plan: PinningPlan) -> CostReport:
         pinned_count=plan.pinned_count,
         lambda_max_controlled=controlled_spectrum(A, plan).lambda_max,
     )
+
+
+def _cbrt(v: float) -> float:
+    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+
+def spectral_abscissa_3(M: np.ndarray) -> float:
+    """Max real part of the eigenvalues of a 3x3 matrix, via the closed-form cubic.
+
+    The characteristic polynomial s^3 + a1 s^2 + a2 s + a3 is depressed and
+    solved trigonometrically (three real roots) or by Cardano's formula (one
+    real root plus a conjugate pair whose real part is -y1/2 - a1/3).
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3, 3):
+        raise ContractViolationError(f"expected a 3x3 matrix, got shape {M.shape}")
+    tr = float(np.trace(M))
+    tr2 = float(np.trace(M @ M))
+    det = float(
+        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+    )
+    a1 = -tr
+    a2 = 0.5 * (tr * tr - tr2)
+    a3 = -det
+
+    p = a2 - a1 * a1 / 3.0
+    q = 2.0 * a1**3 / 27.0 - a1 * a2 / 3.0 + a3
+    shift = -a1 / 3.0
+    disc = -4.0 * p**3 - 27.0 * q * q
+    if disc < 0.0:
+        # One real root; the conjugate pair has real part -y1/2.
+        w = math.sqrt(q * q / 4.0 + p**3 / 27.0)
+        y1 = _cbrt(-q / 2.0 + w) + _cbrt(-q / 2.0 - w)
+        return max(y1, -0.5 * y1) + shift
+    if p == 0.0:
+        return shift  # triple root
+    m = 2.0 * math.sqrt(-p / 3.0)
+    cos3 = 3.0 * q / (p * m)
+    phi = math.acos(min(1.0, max(-1.0, cos3)))
+    return m * math.cos(phi / 3.0) + shift

@@ -249,14 +249,36 @@ def test_scenario_file_bad_field_exits_2(section, key, value, tmp_path, capsys):
     ("--edges", "N x\n0 1\n", "edges:1"),
     ("--plan", '{"n": 3, "c": 1.0}', "plan: pins is missing"),
     ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": "a", "gain": 1.0}]}', "plan: pins[0].node"),
+    ("--edges", b"N 3\n0 1\xff\n", "edges: not UTF-8 text"),
+    ("--plan", "not json", "plan: not JSON"),
+    ("simulate", b"\xff\xfe{}", "scenario.json: not UTF-8 text"),
+    ("compare", '{"scenarios": ["fig2a", "fig2b"]', "comparison.json: not JSON"),
 ])
 def test_malformed_input_file_exits_2(option, text, where, tmp_path, capsys):
-    files = {"--edges": tmp_path / "edges", "--plan": tmp_path / "plan"}
+    files = {
+        "--edges": tmp_path / "edges", "--plan": tmp_path / "plan",
+        "simulate": tmp_path / "scenario.json", "compare": tmp_path / "comparison.json",
+    }
     main(["topology", "star", "--n", "3", "--out", str(files["--edges"])])
-    files[option].write_text(text)
-    argv = ["spectrum"] + [arg for opt, path in files.items() for arg in (opt, str(path))]
+    files[option].write_bytes(text if isinstance(text, bytes) else text.encode())
+    if option.startswith("--"):
+        argv = ["spectrum", "--edges", str(files["--edges"]), "--plan", str(files["--plan"])]
+    else:
+        argv = [option, str(files[option])]
     assert main(argv) == 2
     assert f"{tmp_path}/{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({}, "scenarios is missing"),
+    ({"scenarios": "fig2a"}, "scenarios must be a list"),
+    (3, "comparison document must be a list"),
+])
+def test_compare_without_scenario_list_exits_2(doc, message, tmp_path, capsys):
+    path = tmp_path / "comparison.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compare", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_topology_negative_seed_exits_2(tmp_path, capsys):

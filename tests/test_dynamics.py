@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from pinnet.dynamics import (
@@ -16,7 +19,6 @@ from pinnet.dynamics import (
     mode_threshold,
     network_rhs,
     quad_condition_sample,
-    spectral_abscissa_3,
     sync_error,
     sync_time,
 )
@@ -24,10 +26,12 @@ from pinnet.errors import (
     ContractViolationError,
     DivergenceError,
     InvalidDomainError,
+    RegionShapeError,
 )
 from pinnet.pinning import PinningPlan, plan_by_degree, plan_explicit
 from pinnet.spectral import controlled_spectrum
 from pinnet.topology import Graph, coupling_matrix, star
+from spectral_oracle import spectral_abscissa_3
 
 GAMMA = np.array([0.0, 1.0, 0.0])
 
@@ -324,31 +328,93 @@ class TestSpectralAbscissa3:
             spectral_abscissa_3(np.eye(2))
 
 
-class TestModeThreshold:
-    def test_bracket_endpoints(self):
-        sys = chen_star_system()
-        jac = sys.dynamics.jacobian(sys.target, 0.0)
-        assert spectral_abscissa_3(jac) > 0.0
-        shifted = jac + (-1e4) * np.diag(GAMMA)
-        assert spectral_abscissa_3(shifted) < 0.0
+def _hurwitz_exact(M):
+    """Routh-Hurwitz test of the 3x3 float matrix M in rational arithmetic."""
+    a = [[Fraction(x) for x in row] for row in M.tolist()]
 
-    def test_halving_tolerance(self):
-        sys = chen_star_system()
-        coarse = mode_threshold(sys, 1e-3)
-        fine = mode_threshold(sys, 5e-4)
-        assert abs(coarse - fine) <= 2e-3
-        assert coarse < 0.0
+    def minor(i, j, k, l):
+        return a[i][k] * a[j][l] - a[i][l] * a[j][k]
+
+    a1 = -(a[0][0] + a[1][1] + a[2][2])
+    a2 = minor(0, 1, 0, 1) + minor(0, 2, 0, 2) + minor(1, 2, 1, 2)
+    a3 = -(a[0][0] * minor(1, 2, 1, 2) - a[0][1] * minor(1, 2, 0, 2) + a[0][2] * minor(1, 2, 0, 1))
+    return a1 > 0 and a3 > 0 and a1 * a2 - a3 > 0
+
+
+def _oracle_stable(M):
+    """Whether every eigenvalue of the 3x3 matrix M has negative real part.
+
+    Decided by the closed-form cubic, except where its abscissa lies within
+    1e-9 * (1 + ||M||_F) of zero, inside its own rounding: there the
+    Routh-Hurwitz conditions are evaluated exactly instead.
+    """
+    abscissa = spectral_abscissa_3(M)
+    if abs(abscissa) > 1e-9 * (1.0 + np.linalg.norm(M)):
+        return abscissa < 0.0
+    return _hurwitz_exact(M)
+
+
+def _samples_between_cuts(F, gamma, reach=1e4):
+    """Sorted sigmas in [-reach, reach], one between each pair of neighbouring
+    places where F + sigma*diag(gamma) can change stability.
+
+    Those places are real roots of the Routh-Hurwitz polynomials. The
+    characteristic-polynomial coefficients have degree <= 3 in sigma, so
+    np.poly at four sigmas and an interpolating fit give them here, apart
+    from the package's construction.
+    """
+    sigmas = np.arange(4.0)
+    G = np.diag(gamma)
+    _, a1, a2, a3 = np.polyfit(sigmas, [np.poly(F + s * G) for s in sigmas], 3).T
+    roots = [np.roots(p).real for p in (a1, a3, np.polysub(np.polymul(a1, a2), a3))]
+    cuts = np.concatenate([[-reach, reach]] + roots)
+    cuts = np.unique(cuts[np.abs(cuts) <= reach])
+    return np.concatenate([[-reach], 0.5 * (cuts[1:] + cuts[:-1]), [reach]])
+
+
+class TestModeThreshold:
+    def test_exact_value_for_chen_node(self):
+        # a1 a2 - a3 = 38 sigma^2 - 359 sigma - 3570 for the shipped node
+        r = (359.0 - math.sqrt(671521.0)) / 76.0
+        assert r <= mode_threshold(chen_star_system()) <= r + 1e-11
 
     def test_threshold_separates_stability(self):
         sys = chen_star_system()
-        sigma = mode_threshold(sys, 1e-6)
+        sigma = mode_threshold(sys)
         jac = sys.dynamics.jacobian(sys.target, 0.0)
-        assert spectral_abscissa_3(jac + (sigma - 1e-3) * np.diag(GAMMA)) < 0.0
+        for below in (sigma - 1e-6, sigma - 1e-3):
+            assert spectral_abscissa_3(jac + below * np.diag(GAMMA)) < 0.0
+            assert np.max(np.linalg.eigvals(jac + below * np.diag(GAMMA)).real) < 0.0
         assert spectral_abscissa_3(jac + sigma * np.diag(GAMMA)) >= 0.0
+        assert np.max(np.linalg.eigvals(jac + sigma * np.diag(GAMMA)).real) >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_cubic_oracle(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        F = rng.uniform(-5.0, 5.0, (3, 3))
+        gamma = rng.integers(0, 2, 3).astype(float)
+        sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), zero_plan(1), gamma, np.zeros(3))
+
+        def stable(sigma):
+            return _oracle_stable(F + sigma * np.diag(gamma))
+
+        try:
+            sigma = mode_threshold(sys)
+        except RegionShapeError:
+            # Witness that the stable set is not (-inf, r) with r <= 0: stable
+            # at 0, stable at no sample, or unstable below a stable sample.
+            flags = [stable(s) for s in _samples_between_cuts(F, gamma)]
+            assert stable(0.0) or not any(flags) or flags != sorted(flags, reverse=True)
+        else:
+            assert sigma <= 1e-11
+            assert not stable(sigma)
+            for below in (sigma - 1e-6 * (1.0 + abs(sigma)), 2.0 * sigma - 1.0, 10.0 * sigma - 10.0):
+                assert stable(below)
 
     def test_predicts_leaf_pinned_star_synchronizes(self):
         sys = chen_star_system()
-        sigma = mode_threshold(sys, 1e-6)
+        sigma = mode_threshold(sys)
         lam1 = controlled_spectrum(sys.coupling, sys.plan).lambda_max
         assert sys.plan.coupling_strength * lam1 < sigma
 
@@ -357,7 +423,7 @@ class TestStabilityConsistency:
     def test_prediction_matches_integration_both_outcomes(self):
         # synchronizing instance: all leaves pinned at c=10
         sync_sys = chen_star_system()
-        sigma = mode_threshold(sync_sys, 1e-6)
+        sigma = mode_threshold(sync_sys)
         lam1 = controlled_spectrum(sync_sys.coupling, sync_sys.plan).lambda_max
         assert sync_sys.plan.coupling_strength * lam1 < sigma
         X0 = sync_sys.target + _ball_offsets(9, seed=30)

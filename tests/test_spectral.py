@@ -23,7 +23,7 @@ from pinnet.spectral import (
     schur_feasible,
     star_leaf_gain_bound,
 )
-from pinnet.topology import ClusterSpec, cluster_stars, coupling_matrix, star
+from pinnet.topology import ClusterSpec, Graph, cluster_stars, coupling_matrix, star
 from spectral_oracle import (
     check_margin,
     diag_bounds_check,
@@ -265,8 +265,21 @@ class TestMinUniformGain:
         with pytest.raises(ContractViolationError):
             min_uniform_gain(coupling_matrix(star(4)), [1], 1.0, 0.0)
 
+    @pytest.mark.parametrize("edges,pinned,margin", [
+        # 3-node path pinned at one end, margin 1e-5 inside the limit
+        # (3 - sqrt(5)) / 2 set by the unpinned block: answer about 27716.
+        ([(0, 1), (1, 2)], [0], (3.0 - 5.0**0.5) / 2.0 - 1e-5),
+        # 2-node path pinned at one end: lambda_1 moves by 1e-10 per unit
+        # gain near the answer 101020.535.
+        ([(0, 1)], [0], 0.99999),
+    ])
+    def test_unresolvable_gain_raises(self, edges, pinned, margin):
+        A = coupling_matrix(Graph.from_edges(len(edges) + 1, edges))
+        with pytest.raises(BoundaryCaseError):
+            min_uniform_gain(A, pinned, margin, 1e-6)
+
     def test_below_theorem_bound(self, rng):
-        # bisection can only improve on the sufficient closed form
+        # the minimal gain can only improve on the sufficient bound
         for n in (5, 9, 14):
             A = coupling_matrix(star(n))
             eps = min_uniform_gain(A, range(1, n), 1.0, 1e-9)
@@ -369,7 +382,8 @@ class TestDefinitenessOracle:
     # the answer by about 2e-6, more than tol, against a slack-free bisection.
     @example(seed=0, n=2, margin=0.9921875)
     # Near the answer 101020.535 lambda_1 moves by 1e-10 per unit gain, so a
-    # rounding of 2e-16 in Jacobi's lambda_1 moves the answer by 2e-6.
+    # rounding of 2e-16 in lambda_1 moves the answer by 2e-6: the gain cannot
+    # be resolved to tol and BoundaryCaseError is the expected outcome.
     @example(seed=0, n=2, margin=0.99999)
     def test_min_gain_agrees_with_jacobi_bisection(self, seed, n, margin):
         _, A, pinned = _pinned_instance(seed, n)
@@ -377,8 +391,18 @@ class TestDefinitenessOracle:
         block = jacobi_eig(A[np.ix_(unpinned, unpinned)]).lambda_max
         assume(abs(block + margin) > 1e-9)
         tol = 1e-6
-        got = min_uniform_gain(A, pinned, margin, tol)
         expected = _oracle_min_gain(A, pinned, margin, tol)
+        try:
+            got = min_uniform_gain(A, pinned, margin, tol)
+        except BoundaryCaseError:
+            # Only where the oracle shows lambda_1 all but flat over one tol.
+            assert expected is not None
+            at, above = A.copy(), A.copy()
+            at[pinned, pinned] -= expected
+            above[pinned, pinned] -= expected + tol
+            move = jacobi_eig(at).lambda_max - jacobi_eig(above).lambda_max
+            assert move < 1e-12 * (1.0 + np.linalg.norm(at))
+            return
         if expected is None:
             assert got is None
         else:
