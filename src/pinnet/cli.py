@@ -62,7 +62,11 @@ def _load_scenario(ref: str) -> Scenario:
     """A scenario reference is a shipped name or a path to a scenario JSON."""
     path = Path(ref)
     if path.suffix == ".json" or path.exists():
-        return Scenario.from_dict(read_json(path))
+        d = read_json(path)
+        try:
+            return Scenario.from_dict(d)
+        except PinnetError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return get_scenario(ref)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     ContractViolationError,
     DivergenceError,
     InvalidDomainError,
+    NumericalFailureError,
     RegionShapeError,
 )
 from .pinning import PinningPlan, cost
@@ -62,6 +63,9 @@ class NodeDynamics:
 
     `field(x, t)` accepts a single state of shape (n,) or a batch (..., n)
     and returns the same shape; `jacobian(x, t)` takes a single state.
+    The integrator calls `field` on all nodes of a batch as one (M, n) array.
+    `field` may return any array, a fresh one, its input or a view of it:
+    the integrator copies the result and never writes to it.
     `lipschitz` is the stiffness estimate used by the integrator guard.
     """
 
@@ -102,10 +106,21 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     def field(x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [a * (x2 - x1), (c - a) * x1 - x1 * x3 + c * x2, x1 * x2 - b * x3],
-            axis=-1,
-        )
+        out = np.empty(x.shape)
+        dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
+        # Component by component into `out`, each still unwritten component
+        # serving as scratch; same products and sums as the formulas above.
+        np.multiply(x3, b, out=dy)
+        np.multiply(x1, x2, out=dz)
+        dz -= dy
+        np.multiply(x1, x3, out=dx)
+        np.multiply(x1, c - a, out=dy)
+        dy -= dx
+        np.multiply(x2, c, out=dx)
+        dy += dx
+        np.subtract(x2, x1, out=dx)
+        dx *= a
+        return out
 
     def jacobian(x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -185,17 +200,38 @@ class SimulationResult:
 
 
 def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan]) -> Callable:
-    """network_rhs on a (B, N, n) batch of states, member b under plans[b].
+    """network_rhs of a (B, N, n) batch of states into `out`, member b under plans[b].
 
-    A member with c = 0 or no pinned node adds exact zeros for the terms it
-    lacks, so its arithmetic does not depend on its batch mates.
+    The field sees the batch as one (B*N, n) array, and its result is copied
+    into `out`. Coupling and feedback touch only the coupled columns j
+    (gamma_j = 1): out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the
+    operations of f + c (A X) Gamma - c eps Gamma (X - s) in the same order,
+    less the exact products by Gamma. A member with c = 0 or no pinned node
+    adds exact zeros for the terms it lacks, so its arithmetic does not
+    depend on its batch mates. Buffers are allocated once per batch.
     """
-    c = np.array([p.coupling_strength for p in plans])[:, None, None]
-    eps = np.array([p.gains for p in plans], dtype=float)[:, :, None]
-    A, gamma, target, field = sys.coupling, sys.gamma, sys.target, sys.dynamics.field
+    B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
+    # Per node row of the flattened (B*N, n) batch: c and c * eps_i.
+    c = np.array([p.coupling_strength for p in plans])
+    c_eps = (c[:, None] * np.array([p.gains for p in plans], dtype=float)).ravel()
+    c = np.repeat(c, N)
+    A, target, field = sys.coupling, sys.target, sys.dynamics.field
+    coupled = np.flatnonzero(sys.gamma)
+    AX, scratch = np.empty((B, N, n)), np.empty(B * N)
+    AX_rows = AX.reshape(-1, n)
 
-    def rhs(X: np.ndarray, t: float) -> np.ndarray:
-        return field(X, t) + c * (A @ X) * gamma - c * eps * (gamma * (X - target))
+    def rhs(X: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        rows, out_rows = X.reshape(-1, n), out.reshape(-1, n)
+        np.copyto(out_rows, field(rows, t))
+        np.matmul(A, X, out=AX)
+        for j in coupled:
+            col = out_rows[:, j]
+            np.multiply(c, AX_rows[:, j], out=scratch)
+            np.add(col, scratch, out=col)
+            np.subtract(rows[:, j], target[j], out=scratch)
+            np.multiply(scratch, c_eps, out=scratch)
+            np.subtract(col, scratch, out=col)
+        return out
 
     return rhs
 
@@ -207,7 +243,7 @@ def network_rhs(sys: NetworkSystem, X: np.ndarray, t: float) -> np.ndarray:
         raise ContractViolationError(
             f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
         )
-    return _rhs(sys, [sys.plan])(X[None], t)[0]
+    return _rhs(sys, [sys.plan])(X[None], t, np.empty((1,) + X.shape))[0]
 
 
 def _node_errors(states: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -271,18 +307,33 @@ def integrate_batch(
     out: list = [None] * len(plans)
     live = np.arange(len(plans))  # members still integrating
     rhs = _rhs(sys, plans)
+    # k, the stage state and the weighted sum k1 + 2 k2 + 2 k3 + k4, formed
+    # in the same order as X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4).
+    k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
     # Overflow is handled explicitly via the finiteness check, so numpy's
     # warnings would only be noise on a member that is about to be dropped.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
                 t = (step - 1) * h
-                k1 = rhs(X, t)
-                k2 = rhs(X + 0.5 * h * k1, t + 0.5 * h)
-                k3 = rhs(X + 0.5 * h * k2, t + 0.5 * h)
-                k4 = rhs(X + h * k3, t + h)
-                X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(X)):
+                rhs(X, t, ksum)
+                np.multiply(ksum, 0.5 * h, out=stage)
+                stage += X
+                rhs(stage, t + 0.5 * h, k)
+                np.multiply(k, 0.5 * h, out=stage)
+                stage += X
+                k *= 2.0
+                ksum += k
+                rhs(stage, t + 0.5 * h, k)
+                np.multiply(k, h, out=stage)
+                stage += X
+                k *= 2.0
+                ksum += k
+                rhs(stage, t + h, k)
+                ksum += k
+                ksum *= h / 6.0
+                X += ksum
+                if not np.isfinite(X).all():
                     ok = np.all(np.isfinite(X), axis=(1, 2))
                     for b in live[~ok]:
                         out[b] = DivergenceError(step * h)
@@ -290,6 +341,7 @@ def integrate_batch(
                     if not len(live):
                         return out
                     rhs = _rhs(sys, [plans[b] for b in live])
+                    k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
             if step % record_every == 0:
                 rec = step // record_every
                 times[rec] = step * h
@@ -351,7 +403,8 @@ def mode_threshold(sys: NetworkSystem) -> float:
     1e-12 * (1 + |r|), so the mode system is unstable at sigma* and stable
     below r. Network modes with c * lambda_i < sigma* are locally stable.
     Raises RegionShapeError when the mode system is stable at sigma = 0,
-    stable for no sigma, or stable on a set other than one half-line (-inf, r).
+    stable for no sigma, or stable on a set other than one half-line (-inf, r),
+    and NumericalFailureError when the roots of a Hurwitz polynomial overflow.
     """
     if sys.dynamics.dimension != 3:
         raise ContractViolationError("mode threshold implemented for 3-dimensional nodes")
@@ -373,8 +426,20 @@ def mode_threshold(sys: NetworkSystem) -> float:
         np.convolve(m[0][2], minor((1, 2), (0, 1))),
     )
     hurwitz = (a1, a3, np.polysub(np.convolve(a1, a2), a3))
+    roots = []
+    for name, p in zip(("a1", "a3", "a1*a2 - a3"), hurwitz):
+        # A leading coefficient tiny beside the others overflows np.roots'
+        # companion matrix, which eigvals then refuses.
+        with np.errstate(over="ignore"):
+            try:
+                roots.append(np.roots(p).real)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(
+                    f"roots of the Hurwitz polynomial {name} in sigma, coefficients "
+                    f"{p.tolist()} (highest power first), are not computable: {exc}"
+                ) from None
     # Real parts of complex roots only add cuts inside intervals of one sign.
-    cuts = np.unique(np.concatenate([np.roots(p).real for p in hurwitz]))
+    cuts = np.unique(np.concatenate(roots))
     reach = 1.0 + 2.0 * np.abs(cuts).max(initial=0.0)
     points = np.concatenate([[-reach], 0.5 * (cuts[1:] + cuts[:-1]), [reach]])
     stable = np.all([np.polyval(p, points) > 0.0 for p in hurwitz], axis=0)

@@ -22,7 +22,8 @@ class ContractViolationError(PinnetError, ValueError):
 
 
 class NumericalFailureError(PinnetError, RuntimeError):
-    """An iterative numerical routine failed to converge within its cap."""
+    """A numerical routine failed: it did not converge within its cap, or
+    its arithmetic overflowed."""
 
 
 class BoundUndefinedError(PinnetError, ValueError):

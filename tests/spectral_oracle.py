@@ -1,8 +1,9 @@
 """Test-side spectral reference code.
 
 ``jacobi_eig`` is a cyclic Jacobi eigensolver written independently of
-LAPACK; the tests use it as the oracle for the package's ``eig_symmetric``
-(which calls ``np.linalg.eigh``) and for its Cholesky definiteness tests.
+LAPACK's eigensolvers; the tests use it as the oracle for the package's
+``eig_symmetric`` (which calls ``np.linalg.eigh``) and for its Cholesky
+definiteness tests.
 ``spectral_abscissa_3`` solves the characteristic cubic of a 3x3 matrix in
 closed form; it is the oracle for ``pinnet.dynamics.mode_threshold``, which
 finds the stability threshold from the Routh-Hurwitz polynomials instead.
@@ -32,12 +33,34 @@ def _off_diag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a[mask] ** 2)))
 
 
+def _round_robin(n: int) -> list:
+    """Round-robin (Brent-Luk) schedule: per round, index arrays (p, q) of
+    disjoint pairs with p < q.
+
+    The circle method on n players (n + 1 with a bye when n is odd) gives
+    n - 1 or n rounds that together meet every pair exactly once.
+    """
+    m = n + n % 2
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted(
+            (min(p, q), max(p, q))
+            for p, q in zip(players[: m // 2], players[::-1][: m // 2])
+            if max(p, q) < n
+        )
+        rounds.append(np.array(pairs, dtype=int).reshape(-1, 2).T)
+        players = players[:1] + players[-1:] + players[1:-1]
+    return rounds
+
+
 def jacobi_eig(M: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric real matrix by cyclic Jacobi.
 
-    Sweeps all upper-triangle pairs in row order, rotating each away, until
-    the off-diagonal norm falls below 1e-12 times the input Frobenius norm.
-    Eigenvalues come back descending with matching eigenvector columns.
+    Each sweep meets all pairs in round-robin order, rotating the disjoint
+    pairs of one round away together, until the off-diagonal norm falls
+    below 1e-12 times the input Frobenius norm. Eigenvalues come back
+    descending with matching eigenvector columns.
     """
     M = np.asarray(M, dtype=float)
     assert M.ndim == 2 and M.shape[0] == M.shape[1] and M.shape[0] > 0
@@ -50,35 +73,30 @@ def jacobi_eig(M: np.ndarray) -> EigenDecomposition:
     if fro == 0.0:
         return EigenDecomposition(np.zeros(n), u)
     threshold = _OFF_DIAG_FACTOR * fro
+    rounds = _round_robin(n)
 
     for _ in range(_MAX_SWEEPS):
         if _off_diag_norm(a) <= threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    sign = 1.0 if theta >= 0 else -1.0
-                    t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # Two-sided rotation on rows/columns p and q.
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                ucol_p, ucol_q = u[:, p].copy(), u[:, q].copy()
-                u[:, p] = c * ucol_p - s * ucol_q
-                u[:, q] = s * ucol_p + c * ucol_q
+        for p, q in rounds:
+            apq = a[p, q]
+            keep = np.abs(apq) > threshold / n
+            if not keep.any():
+                continue
+            p, q, apq = p[keep], q[keep], apq[keep]
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            # hypot(theta, 1) cannot overflow; for huge theta t is 1 / (2 theta).
+            t = np.where(theta >= 0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # The rotations act on disjoint index pairs, so one orthogonal J
+            # holds them all and a <- J^T a J applies them at once.
+            J = np.eye(n)
+            J[p, p] = J[q, q] = c
+            J[p, q], J[q, p] = s, -s
+            a = J.T @ a @ J
+            a[p, q] = a[q, p] = 0.0
+            u = u @ J
     if _off_diag_norm(a) > threshold:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 

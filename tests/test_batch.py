@@ -7,7 +7,7 @@ import pytest
 
 import pinnet.harness
 from pinnet.cli import main
-from pinnet.dynamics import integrate_batch, integrate_rk4, sync_error
+from pinnet.dynamics import NodeDynamics, integrate_batch, integrate_rk4, sync_error
 from pinnet.errors import ContractViolationError, DivergenceError
 from pinnet.harness import build_system, initial_state, run_scenario, sweep
 from pinnet.pinning import PinningPlan
@@ -155,6 +155,38 @@ def test_divergence_inside_a_batch():
         assert np.array_equal(batch[b].times, solo.times)
         assert np.array_equal(batch[b].states, solo.states)
         assert np.array_equal(batch[b].error_metric, solo.error_metric)
+        # The buffers re-allocated after the drop, against the plain loop.
+        states, errors = reference_rk4(dataclasses.replace(sys, plan=plans[b]), X0[b], h, T, 5)
+        assert np.array_equal(batch[b].states, states)
+        assert np.array_equal(batch[b].error_metric, errors)
+
+
+@pytest.mark.parametrize("returned", ["input", "view"])
+def test_field_result_is_never_written(returned):
+    # The field hands back its own argument, or a view of it; the RHS must
+    # copy that result before adding coupling and feedback, or it would
+    # overwrite the stage state it was given.
+    def field(x, t):
+        x = np.asarray(x, dtype=float)
+        return x if returned == "input" else x[..., ::-1]
+
+    def jacobian(x, t):
+        return np.eye(3) if returned == "input" else np.eye(3)[::-1]
+
+    star_sys = build_system(get_scenario("fig2b"))
+    sys = dataclasses.replace(
+        star_sys, dynamics=NodeDynamics(3, field, jacobian, 1.0, returned), target=np.zeros(3)
+    )
+    plans = [
+        star_sys.plan, build_system(get_scenario("fig2a")).plan, PinningPlan(9, (0.0,) * 9, 0.0)
+    ]
+    X0 = np.array([initial_state(sys.target, 9, seed) for seed in (1, 2, 3)])
+    h, T = 5e-4, 0.1
+    batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
+    for plan, x0, result in zip(plans, X0, batch):
+        states, errors = reference_rk4(dataclasses.replace(sys, plan=plan), x0, h, T, 5)
+        assert np.array_equal(result.states, states)
+        assert np.array_equal(result.error_metric, errors)
 
 
 def test_every_member_diverging_returns_errors():

@@ -243,6 +243,20 @@ def test_scenario_file_bad_field_exits_2(section, key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_scenario_file_error_names_the_file(command, tmp_path, capsys):
+    scenario = get_scenario("fig2b").to_dict()
+    scenario["topology"]["n"] = "abc"
+    path = tmp_path / "bad_sc.json"
+    path.write_text(json.dumps(scenario))
+    comparison = tmp_path / "comparison.json"
+    comparison.write_text(json.dumps({"scenarios": [str(path), "fig2a"]}))
+    target = path if command == "simulate" else comparison
+    assert main([command, str(target), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: topology.n must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option,text,where", [
     ("--edges", "N 3\n1\n", "edges:2"),
     ("--edges", "N 3\n0 1 2\n", "edges:2"),

@@ -26,6 +26,7 @@ from pinnet.errors import (
     ContractViolationError,
     DivergenceError,
     InvalidDomainError,
+    NumericalFailureError,
     RegionShapeError,
 )
 from pinnet.pinning import PinningPlan, plan_by_degree, plan_explicit
@@ -377,6 +378,15 @@ class TestModeThreshold:
         # a1 a2 - a3 = 38 sigma^2 - 359 sigma - 3570 for the shipped node
         r = (359.0 - math.sqrt(671521.0)) / 76.0
         assert r <= mode_threshold(chen_star_system()) <= r + 1e-11
+
+    def test_overflowing_hurwitz_roots_raise_typed_error(self):
+        # a1*a2 - a3 has the subnormal leading coefficient -2.2250738585e-313,
+        # so np.roots' companion matrix overflows.
+        F = [[0.0, 1.0, 0.0], [1.0, 2.2250738585e-313, 0.0], [0.0, 0.0, 0.0]]
+        gamma = np.array([1.0, 0.0, 0.0])
+        sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), zero_plan(1), gamma, np.zeros(3))
+        with pytest.raises(NumericalFailureError, match=r"Hurwitz polynomial a1\*a2 - a3"):
+            mode_threshold(sys)
 
     def test_threshold_separates_stability(self):
         sys = chen_star_system()
