@@ -102,6 +102,9 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     dz = x y - b z
     """
     a, b, c = p.a, p.b, p.c
+    # The field's constants as 0-d float64 arrays, made once: a ufunc takes
+    # them with less overhead than Python floats, with the same arithmetic.
+    a0, b0, c0, c_a = (np.array(v) for v in (a, b, c, c - a))
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -110,16 +113,16 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
         dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
         # Component by component into `out`, each still unwritten component
         # serving as scratch; same products and sums as the formulas above.
-        np.multiply(x3, b, out=dy)
-        np.multiply(x1, x2, out=dz)
-        dz -= dy
-        np.multiply(x1, x3, out=dx)
-        np.multiply(x1, c - a, out=dy)
-        dy -= dx
-        np.multiply(x2, c, out=dx)
-        dy += dx
-        np.subtract(x2, x1, out=dx)
-        dx *= a
+        np.multiply(x3, b0, dy)
+        np.multiply(x1, x2, dz)
+        np.subtract(dz, dy, dz)
+        np.multiply(x1, x3, dx)
+        np.multiply(x1, c_a, dy)
+        np.subtract(dy, dx, dy)
+        np.multiply(x2, c0, dx)
+        np.add(dy, dx, dy)
+        np.subtract(x2, x1, dx)
+        np.multiply(dx, a0, dx)
         return out
 
     def jacobian(x: np.ndarray, t: float) -> np.ndarray:
@@ -199,38 +202,44 @@ class SimulationResult:
     sync_time: Optional[float] = dataclass_field(default=None)
 
 
-def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan]) -> Callable:
-    """network_rhs of a (B, N, n) batch of states into `out`, member b under plans[b].
+def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
+         out: np.ndarray) -> Callable[[float], np.ndarray]:
+    """rhs(t): network_rhs of the (B, N, n) batch X into `out`, member b under plans[b].
 
-    The field sees the batch as one (B*N, n) array, and its result is copied
-    into `out`. Coupling and feedback touch only the coupled columns j
-    (gamma_j = 1): out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the
-    operations of f + c (A X) Gamma - c eps Gamma (X - s) in the same order,
-    less the exact products by Gamma. A member with c = 0 or no pinned node
-    adds exact zeros for the terms it lacks, so its arithmetic does not
-    depend on its batch mates. Buffers are allocated once per batch.
+    X and `out` are C-contiguous (B, N, n) arrays that rhs reads and writes
+    in place on every call; the views into them are made here, once. The
+    field sees X as one (B*N, n) array, and its result is copied into `out`.
+    Coupling and feedback touch only the coupled columns j (gamma_j = 1):
+    out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the operations of
+    f + c (A X) Gamma - c eps Gamma (X - s) in the same order, less the exact
+    products by Gamma. A member with c = 0 or no pinned node adds exact zeros
+    for the terms it lacks, so its arithmetic does not depend on its batch
+    mates.
     """
+    if not (X.flags.c_contiguous and out.flags.c_contiguous):
+        raise ContractViolationError("the RHS binds views: X and out must be C-contiguous")
     B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
     # Per node row of the flattened (B*N, n) batch: c and c * eps_i.
     c = np.array([p.coupling_strength for p in plans])
     c_eps = (c[:, None] * np.array([p.gains for p in plans], dtype=float)).ravel()
     c = np.repeat(c, N)
-    A, target, field = sys.coupling, sys.target, sys.dynamics.field
-    coupled = np.flatnonzero(sys.gamma)
+    A, field = sys.coupling, sys.dynamics.field
     AX, scratch = np.empty((B, N, n)), np.empty(B * N)
-    AX_rows = AX.reshape(-1, n)
+    rows, out_rows, AX_rows = X.reshape(-1, n), out.reshape(-1, n), AX.reshape(-1, n)
+    # Per coupled column j: its views into out, A X and X, and s_j as a 0-d array.
+    columns = [(out_rows[:, j], AX_rows[:, j], rows[:, j], np.array(sys.target[j]))
+               for j in np.flatnonzero(sys.gamma)]
+    multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
-    def rhs(X: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        rows, out_rows = X.reshape(-1, n), out.reshape(-1, n)
-        np.copyto(out_rows, field(rows, t))
-        np.matmul(A, X, out=AX)
-        for j in coupled:
-            col = out_rows[:, j]
-            np.multiply(c, AX_rows[:, j], out=scratch)
-            np.add(col, scratch, out=col)
-            np.subtract(rows[:, j], target[j], out=scratch)
-            np.multiply(scratch, c_eps, out=scratch)
-            np.subtract(col, scratch, out=col)
+    def rhs(t: float) -> np.ndarray:
+        out_rows[...] = field(rows, t)
+        matmul(A, X, AX)
+        for col, AX_col, x_col, s_j in columns:
+            multiply(c, AX_col, scratch)
+            add(col, scratch, col)
+            subtract(x_col, s_j, scratch)
+            multiply(scratch, c_eps, scratch)
+            subtract(col, scratch, col)
         return out
 
     return rhs
@@ -243,17 +252,14 @@ def network_rhs(sys: NetworkSystem, X: np.ndarray, t: float) -> np.ndarray:
         raise ContractViolationError(
             f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
         )
-    return _rhs(sys, [sys.plan])(X[None], t, np.empty((1,) + X.shape))[0]
-
-
-def _node_errors(states: np.ndarray, target: np.ndarray) -> np.ndarray:
-    diff = np.asarray(states, dtype=float) - np.asarray(target, dtype=float)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    X = np.ascontiguousarray(X[None])
+    return _rhs(sys, [sys.plan], X, np.empty(X.shape))(t)[0]
 
 
 def sync_error(states: np.ndarray, target: np.ndarray) -> float:
     """Largest Euclidean node deviation from the target state."""
-    return float(np.max(_node_errors(states, target)))
+    diff = np.asarray(states, dtype=float) - np.asarray(target, dtype=float)
+    return float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
 
 
 def integrate_batch(
@@ -280,7 +286,7 @@ def integrate_batch(
     if record_every < 1:
         raise ContractViolationError("record_every must be >= 1")
     shape = (len(plans), sys.n_nodes, sys.dynamics.dimension)
-    X = np.array(X0, dtype=float)
+    X = np.array(X0, dtype=float, order="C")
     if X.shape != shape:
         raise ContractViolationError(f"initial states shape {X.shape}, expected {shape}")
     if any(p.n_nodes != sys.n_nodes for p in plans):
@@ -306,48 +312,70 @@ def integrate_batch(
     errors = np.empty(times.shape + shape[:1])
     out: list = [None] * len(plans)
     live = np.arange(len(plans))  # members still integrating
-    rhs = _rhs(sys, plans)
-    # k, the stage state and the weighted sum k1 + 2 k2 + 2 k3 + k4, formed
-    # in the same order as X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4).
-    k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+
+    def buffers(X, live):
+        # k, the stage state, the weighted sum k1 + 2 k2 + 2 k3 + k4 (formed
+        # in the same order as X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
+        # the RHS bound to X -> ksum and to stage -> k, and the error
+        # record's scratch.
+        k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+        members = [plans[b] for b in live]
+        return (k, stage, ksum, _rhs(sys, members, X, ksum), _rhs(sys, members, stage, k),
+                np.empty_like(X), np.empty(X.shape[:2]), np.empty(X.shape[:1]))
+
+    k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X, live)
+    # The step's scalars as 0-d float64 arrays: cheaper ufunc operands than
+    # Python floats, with the same arithmetic.
+    half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    target = sys.target
     # Overflow is handled explicitly via the finiteness check, so numpy's
     # warnings would only be noise on a member that is about to be dropped.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
                 t = (step - 1) * h
-                rhs(X, t, ksum)
-                np.multiply(ksum, 0.5 * h, out=stage)
-                stage += X
-                rhs(stage, t + 0.5 * h, k)
-                np.multiply(k, 0.5 * h, out=stage)
-                stage += X
-                k *= 2.0
-                ksum += k
-                rhs(stage, t + 0.5 * h, k)
-                np.multiply(k, h, out=stage)
-                stage += X
-                k *= 2.0
-                ksum += k
-                rhs(stage, t + h, k)
-                ksum += k
-                ksum *= h / 6.0
-                X += ksum
-                if not np.isfinite(X).all():
+                rhs_X(t)
+                multiply(ksum, half_h, stage)
+                add(stage, X, stage)
+                rhs_stage(t + 0.5 * h)
+                multiply(k, half_h, stage)
+                add(stage, X, stage)
+                multiply(k, two, k)
+                add(ksum, k, ksum)
+                rhs_stage(t + 0.5 * h)
+                multiply(k, full_h, stage)
+                add(stage, X, stage)
+                multiply(k, two, k)
+                add(ksum, k, ksum)
+                rhs_stage(t + h)
+                add(ksum, k, ksum)
+                multiply(ksum, sixth_h, ksum)
+                add(X, ksum, X)
+                # A finite sum proves every entry finite; only a non-finite
+                # one (an entry gone non-finite, or finite entries whose sum
+                # overflows) needs the per-member test.
+                if not math.isfinite(add.reduce(X, None)):
                     ok = np.all(np.isfinite(X), axis=(1, 2))
-                    for b in live[~ok]:
-                        out[b] = DivergenceError(step * h)
-                    X, live = X[ok], live[ok]
-                    if not len(live):
-                        return out
-                    rhs = _rhs(sys, [plans[b] for b in live])
-                    k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+                    if not ok.all():
+                        for b in live[~ok]:
+                            out[b] = DivergenceError(step * h)
+                        X, live = X[ok], live[ok]
+                        if not len(live):
+                            return out
+                        k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X, live)
             if step % record_every == 0:
                 rec = step // record_every
                 times[rec] = step * h
                 if record_states:
                     states[rec, live] = X
-                errors[rec, live] = _node_errors(X, sys.target).max(axis=-1)
+                # Each member's sync_error, in its operations and their order.
+                subtract(X, target, diff)
+                multiply(diff, diff, diff)
+                add.reduce(diff, -1, None, node_err)
+                np.sqrt(node_err, node_err)
+                np.maximum.reduce(node_err, -1, None, err)
+                errors[rec, live] = err
     for b in live:
         b_states = states[:, b] if record_states else None
         out[b] = SimulationResult(times, b_states, errors[:, b], cost(plans[b]))

@@ -191,18 +191,18 @@ def run_scenarios(
 
 
 def _write_timeseries(path: Path, result: SimulationResult, full_states: bool) -> None:
-    lines = []
+    # One %-format per row over Python floats: the text of f"{v:.9g}" per value.
     if full_states:
         n = result.states.shape[2]
-        lines.append("t,node," + ",".join(f"x{k + 1}" for k in range(n)))
-        for t, snap in zip(result.times, result.states):
-            for node, state in enumerate(snap):
-                vals = ",".join(f"{v:.9g}" for v in state)
-                lines.append(f"{t:.9g},{node},{vals}")
+        lines = ["t,node," + ",".join(f"x{k + 1}" for k in range(n))]
+        row = "%.9g,%d," + ",".join(["%.9g"] * n)
+        for t, snap in zip(result.times.tolist(), result.states.tolist()):
+            lines.extend(row % (t, node, *state) for node, state in enumerate(snap))
     else:
-        lines.append("t,E")
-        for t, e in zip(result.times, result.error_metric):
-            lines.append(f"{t:.9g},{e:.9g}")
+        lines = ["t,E"]
+        lines.extend(
+            "%.9g,%.9g" % te for te in zip(result.times.tolist(), result.error_metric.tolist())
+        )
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -7,7 +7,9 @@ import pytest
 
 import pinnet.harness
 from pinnet.cli import main
-from pinnet.dynamics import NodeDynamics, integrate_batch, integrate_rk4, sync_error
+from pinnet.dynamics import (
+    NodeDynamics, integrate_batch, integrate_rk4, linear_field, sync_error,
+)
 from pinnet.errors import ContractViolationError, DivergenceError
 from pinnet.harness import build_system, initial_state, run_scenario, sweep
 from pinnet.pinning import PinningPlan
@@ -132,6 +134,19 @@ def test_mixed_batch_matches_reference_solo_loop():
         assert np.array_equal(result.error_metric, errors)
 
 
+def test_start_state_memory_layout_does_not_matter():
+    # The RHS reads and writes views bound once to the state buffers, so the
+    # integrator must hold the state C-contiguous whatever layout X0 has.
+    sys = build_system(get_scenario("fig8b"))
+    X0 = np.array([initial_state(sys.target, sys.n_nodes, seed) for seed in (1, 2)])
+    plans = [sys.plan, sys.plan]
+    c_order = integrate_batch(sys, plans, X0, 5e-4, 0.05, record_every=5)
+    f_order = integrate_batch(sys, plans, np.asfortranarray(X0), 5e-4, 0.05, record_every=5)
+    for a, b in zip(c_order, f_order):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.error_metric, b.error_metric)
+
+
 def test_divergence_inside_a_batch():
     # Hub pinning, leaf pinning and the uncoupled network on the 9-node star;
     # the hub member starts far off and blows up, the others must not notice.
@@ -187,6 +202,60 @@ def test_field_result_is_never_written(returned):
         states, errors = reference_rk4(dataclasses.replace(sys, plan=plan), x0, h, T, 5)
         assert np.array_equal(result.states, states)
         assert np.array_equal(result.error_metric, errors)
+
+
+def test_finite_state_with_overflowing_sum_is_kept():
+    # Entries of +-1e308 are finite, but their sum overflows to inf; with a
+    # zero field and no edges the state must stay as it started.
+    def field(x, t):
+        return np.zeros(np.shape(x))
+
+    star_sys = build_system(get_scenario("fig2b"))
+    sys = dataclasses.replace(
+        star_sys,
+        dynamics=NodeDynamics(3, field, lambda x, t: np.zeros((3, 3)), 1.0, "zero"),
+        coupling=np.zeros((9, 9)), target=np.zeros(3),
+    )
+    X0 = np.stack([np.full((9, 3), 1e308), np.full((9, 3), -1e308)])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(X0, None))
+    plan = PinningPlan(9, (0.0,) * 9, 0.0)
+    batch = integrate_batch(sys, [plan, plan], X0, 1e-3, 0.01, record_every=5)
+    for x0, result in zip(X0, batch):
+        assert not isinstance(result, DivergenceError)
+        assert all(np.array_equal(x, x0) for x in result.states)
+
+
+def first_non_finite_time(sys, x0, h, T):
+    """The time of the first step at which the plain RK4 loop's state is not finite."""
+    with np.errstate(all="ignore"):
+        states, _ = reference_rk4(sys, x0, h, T, 1)
+    step = int(np.argmin(np.isfinite(states).all(axis=(1, 2))))
+    assert step > 0
+    return step * h
+
+
+@pytest.mark.parametrize("case", ["blow-up", "overflowing-sum"])
+def test_divergence_time_is_the_first_non_finite_step(case):
+    star_sys = build_system(get_scenario("fig2b"))
+    if case == "blow-up":
+        # The hub-pinned star started far off: the chaotic field blows up.
+        sys, h, T = star_sys, 5e-4, 0.25
+        X0 = np.array([initial_state(sys.target, 9, seed) for seed in (1, 2)])
+        X0[0] += 1e4
+    else:
+        # Growth x' = x/2 from 1e307 on nodes without edges: the batch's sum
+        # overflows for several steps while every entry is still finite.
+        sys = dataclasses.replace(
+            star_sys, dynamics=linear_field(0.5 * np.eye(3)), coupling=np.zeros((9, 9)),
+            target=np.zeros(3), plan=PinningPlan(9, (0.0,) * 9, 0.0),
+        )
+        h, T = 0.5, 10.0
+        X0 = np.stack([np.full((9, 3), 1e307), np.ones((9, 3))])
+    batch = integrate_batch(sys, [sys.plan, sys.plan], X0, h, T)
+    assert isinstance(batch[0], DivergenceError)
+    assert batch[0].time == first_non_finite_time(sys, X0[0], h, T)
+    assert not isinstance(batch[1], DivergenceError)
 
 
 def test_every_member_diverging_returns_errors():
