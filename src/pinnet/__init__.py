@@ -14,7 +14,6 @@ from .errors import (
     ComparisonDefinitionError,
     ContractViolationError,
     DivergenceError,
-    InvalidDomainError,
     InvalidSizeError,
     NumericalFailureError,
     PinnetError,
@@ -28,7 +27,6 @@ from .topology import (
     cluster_stars,
     coupling_matrix,
     degrees,
-    is_connected,
     star,
 )
 from .pinning import (
@@ -53,11 +51,6 @@ from .dynamics import (
     NodeDynamics,
     SimulationResult,
     chen_field,
-    integrate_rk4,
-    linear_field,
     mode_threshold,
-    network_rhs,
-    quad_condition_sample,
-    sync_error,
     sync_time,
 )

@@ -15,7 +15,7 @@ from .errors import (
     DivergenceError, PinnetError, ScenarioDefinitionError, checked, field, read_json,
 )
 from .harness import (
-    ComparisonReport, run_comparison, run_scenario, run_scenarios, sweep, write_report,
+    ComparisonReport, run_comparison, run_scenarios, sweep, write_report,
 )
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
@@ -70,6 +70,18 @@ def _load_scenario(ref: str) -> Scenario:
     return get_scenario(ref)
 
 
+def _comma_list(flag: str, text: str, kind: type) -> list:
+    """A flag's comma-separated ints or floats; a malformed list raises a
+    ScenarioDefinitionError naming the flag."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        what = "integers" if kind is int else "numbers"
+        raise ScenarioDefinitionError(
+            f"{flag} expects comma-separated {what}, got {text!r}"
+        ) from exc
+
+
 def _finish(report: ComparisonReport) -> int:
     """Print the report table; exit with EXIT_DIVERGED if any row diverged."""
     print(report.to_table_text(), end="")
@@ -80,8 +92,7 @@ def _cmd_topology(args) -> int:
     if args.family == "star":
         g = star(args.n)
     elif args.family == "cluster":
-        sizes = tuple(int(x) for x in args.branches.split(","))
-        g = cluster_stars(ClusterSpec(sizes))
+        g = cluster_stars(ClusterSpec(tuple(_comma_list("--branches", args.branches, int))))
     else:
         g = barabasi_albert(args.n, args.m0, args.m, args.seed)
     if args.out is None:
@@ -125,8 +136,8 @@ def _cmd_pin(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
-    row = run_scenario(scenario, out_dir=args.out, full_states=args.full)
-    return _finish(ComparisonReport((row,)))
+    rows = run_scenarios([scenario], out_dir=args.out, full_states=args.full)
+    return _finish(ComparisonReport(tuple(rows)))
 
 
 def _cmd_compare(args) -> int:
@@ -144,12 +155,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
-    try:
-        values = [float(v) for v in args.values.split(",")]
-    except ValueError as exc:
-        raise ScenarioDefinitionError(
-            f"--values expects comma-separated numbers, got {args.values!r}"
-        ) from exc
+    values = _comma_list("--values", args.values, float)
     return _finish(sweep(scenario, args.vary, values, out_dir=args.out, full_states=args.full))
 
 

@@ -17,7 +17,7 @@ comes from the Routh-Hurwitz conditions, polynomials in c*lambda_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,11 +25,10 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DivergenceError,
-    InvalidDomainError,
     NumericalFailureError,
     RegionShapeError,
 )
-from .pinning import PinningPlan, cost
+from .pinning import PinningPlan
 from .spectral import eig_symmetric
 
 __all__ = [
@@ -37,18 +36,10 @@ __all__ = [
     "ChenParameters",
     "NetworkSystem",
     "SimulationResult",
-    "QuadSampleReport",
     "chen_field",
-    "linear_field",
-    "network_rhs",
-    "integrate_rk4",
     "integrate_batch",
-    "sync_error",
     "sync_time",
-    "mode_matrix",
     "mode_threshold",
-    "modal_equivalence_check",
-    "quad_condition_sample",
 ]
 
 # Documented stiffness estimate for the chaotic oscillator below; feeds the
@@ -139,23 +130,6 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     return NodeDynamics(3, field, jacobian, CHEN_LIPSCHITZ, "chen")
 
 
-def linear_field(F: np.ndarray) -> NodeDynamics:
-    """Linear test system dx = F x with constant Jacobian F."""
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ContractViolationError(f"F must be square, got shape {F.shape}")
-    n = F.shape[0]
-    spectral_norm = math.sqrt(max(eig_symmetric(F.T @ F).lambda_max, 0.0))
-
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ F.T
-
-    def jacobian(x: np.ndarray, t: float) -> np.ndarray:
-        return F.copy()
-
-    return NodeDynamics(n, field, jacobian, spectral_norm, "linear")
-
-
 @dataclass(frozen=True)
 class NetworkSystem:
     """A coupled controlled network: dynamics, coupling matrix, plan, target."""
@@ -191,20 +165,19 @@ class NetworkSystem:
         return self.plan.n_nodes
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
-    """Recorded trajectory, per-step synchronization error, and plan cost."""
+    """Recorded trajectory and per-step synchronization error."""
 
     times: np.ndarray
     states: Optional[np.ndarray]  # None unless per-node states were recorded
     error_metric: np.ndarray
-    cf: float
-    sync_time: Optional[float] = dataclass_field(default=None)
 
 
 def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
          out: np.ndarray) -> Callable[[float], np.ndarray]:
-    """rhs(t): network_rhs of the (B, N, n) batch X into `out`, member b under plans[b].
+    """rhs(t): f(x_i, t) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)
+    for every node row i of the (B, N, n) batch X into `out`, member b under plans[b].
 
     X and `out` are C-contiguous (B, N, n) arrays that rhs reads and writes
     in place on every call; the views into them are made here, once. The
@@ -212,8 +185,9 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     Coupling and feedback touch only the coupled columns j (gamma_j = 1):
     out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the operations of
     f + c (A X) Gamma - c eps Gamma (X - s) in the same order, less the exact
-    products by Gamma. A member with c = 0 or no pinned node adds exact zeros
-    for the terms it lacks, so its arithmetic does not depend on its batch
+    products by Gamma. A member with c = 0 skips both terms, so an
+    overflowing A X cannot make them 0 * inf = NaN; one with no pinned node
+    adds exact zeros. So a member's arithmetic does not depend on its batch
     mates.
     """
     if not (X.flags.c_contiguous and out.flags.c_contiguous):
@@ -222,44 +196,32 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     # Per node row of the flattened (B*N, n) batch: c and c * eps_i.
     c = np.array([p.coupling_strength for p in plans])
     c_eps = (c[:, None] * np.array([p.gains for p in plans], dtype=float)).ravel()
+    # The rows that take coupling: all, or those of each member with c != 0.
+    coupled = np.flatnonzero(c)
+    ranges = [slice(None)] if len(coupled) == B else [slice(b * N, (b + 1) * N) for b in coupled]
     c = np.repeat(c, N)
     A, field = sys.coupling, sys.dynamics.field
     AX, scratch = np.empty((B, N, n)), np.empty(B * N)
     rows, out_rows, AX_rows = X.reshape(-1, n), out.reshape(-1, n), AX.reshape(-1, n)
-    # Per coupled column j: its views into out, A X and X, and s_j as a 0-d array.
-    columns = [(out_rows[:, j], AX_rows[:, j], rows[:, j], np.array(sys.target[j]))
-               for j in np.flatnonzero(sys.gamma)]
+    # Per coupled column j and row range r: the views into out, A X, X, c,
+    # c * eps and the scratch, and s_j as a 0-d array.
+    terms = [(out_rows[r, j], AX_rows[r, j], rows[r, j], np.array(sys.target[j]),
+              c[r], c_eps[r], scratch[r])
+             for j in np.flatnonzero(sys.gamma) for r in ranges]
     multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
     def rhs(t: float) -> np.ndarray:
         out_rows[...] = field(rows, t)
         matmul(A, X, AX)
-        for col, AX_col, x_col, s_j in columns:
-            multiply(c, AX_col, scratch)
-            add(col, scratch, col)
-            subtract(x_col, s_j, scratch)
-            multiply(scratch, c_eps, scratch)
-            subtract(col, scratch, col)
+        for col, AX_col, x_col, s_j, c_r, c_eps_r, tmp in terms:
+            multiply(c_r, AX_col, tmp)
+            add(col, tmp, col)
+            subtract(x_col, s_j, tmp)
+            multiply(tmp, c_eps_r, tmp)
+            subtract(col, tmp, col)
         return out
 
     return rhs
-
-
-def network_rhs(sys: NetworkSystem, X: np.ndarray, t: float) -> np.ndarray:
-    """Row i: f(x_i, t) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sys.n_nodes, sys.dynamics.dimension):
-        raise ContractViolationError(
-            f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
-        )
-    X = np.ascontiguousarray(X[None])
-    return _rhs(sys, [sys.plan], X, np.empty(X.shape))(t)[0]
-
-
-def sync_error(states: np.ndarray, target: np.ndarray) -> float:
-    """Largest Euclidean node deviation from the target state."""
-    diff = np.asarray(states, dtype=float) - np.asarray(target, dtype=float)
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
 
 
 def integrate_batch(
@@ -369,7 +331,8 @@ def integrate_batch(
                 times[rec] = step * h
                 if record_states:
                     states[rec, live] = X
-                # Each member's sync_error, in its operations and their order.
+                # Each member's error max_i |x_i - s|, the largest Euclidean
+                # node deviation from the target.
                 subtract(X, target, diff)
                 multiply(diff, diff, diff)
                 add.reduce(diff, -1, None, node_err)
@@ -378,27 +341,8 @@ def integrate_batch(
                 errors[rec, live] = err
     for b in live:
         b_states = states[:, b] if record_states else None
-        out[b] = SimulationResult(times, b_states, errors[:, b], cost(plans[b]))
+        out[b] = SimulationResult(times, b_states, errors[:, b])
     return out
-
-
-def integrate_rk4(
-    sys: NetworkSystem,
-    X0: np.ndarray,
-    h: float,
-    T: float,
-    record_every: int = 1,
-    record_states: bool = True,
-) -> SimulationResult:
-    """Fixed-step classical RK4 of one system: integrate_batch with a batch of one.
-
-    Raises DivergenceError (with the blow-up time) if the state goes non-finite.
-    """
-    X0 = np.asarray(X0, dtype=float)
-    (result,) = integrate_batch(sys, [sys.plan], X0[None], h, T, record_every, record_states)
-    if isinstance(result, DivergenceError):
-        raise result
-    return result
 
 
 def sync_time(result: SimulationResult, tol: float) -> Optional[float]:
@@ -411,12 +355,6 @@ def sync_time(result: SimulationResult, tol: float) -> Optional[float]:
     if above[-1] == len(result.times) - 1:
         return None
     return float(result.times[above[-1] + 1])
-
-
-def mode_matrix(sys: NetworkSystem, lambda_i: float) -> np.ndarray:
-    """Mode system matrix Df(s) + c * lambda_i * Gamma."""
-    jac = sys.dynamics.jacobian(sys.target, 0.0)
-    return jac + sys.plan.coupling_strength * lambda_i * np.diag(sys.gamma)
 
 
 def mode_threshold(sys: NetworkSystem) -> float:
@@ -481,90 +419,3 @@ def mode_threshold(sys: NetworkSystem) -> float:
         raise RegionShapeError("stability region is not one half-line (-inf, r)")
     r = float(cuts[k - 1])
     return r + 1e-12 * (1.0 + abs(r))
-
-
-def modal_equivalence_check(
-    F: np.ndarray,
-    A_tilde: np.ndarray,
-    c: float,
-    gamma: np.ndarray,
-    e0: np.ndarray,
-    h: float,
-    T: float,
-) -> float:
-    """Max deviation between the coupled linear error system and its modes.
-
-    Integrates both the full system E' = E F^T + c (A~ E) Gamma and the N
-    decoupled modes obtained through the orthogonal eigenbasis of A~, then
-    maps the modes back and reports the largest absolute difference over
-    all recorded times. Exact modal decoupling means this is pure roundoff.
-    """
-    e0 = np.asarray(e0, dtype=float)
-    dec = eig_symmetric(A_tilde)
-    U, lam = dec.eigenvectors, dec.eigenvalues
-    dyn, zero = linear_field(F), np.zeros(e0.shape[1])
-    plan = PinningPlan(len(lam), (0.0,) * len(lam), c)
-    full = integrate_rk4(NetworkSystem(dyn, A_tilde, plan, gamma, zero), e0, h, T)
-    modes = integrate_rk4(NetworkSystem(dyn, np.diag(lam), plan, gamma, zero), U.T @ e0, h, T)
-    return float(np.max(np.abs(full.states - U @ modes.states)))
-
-
-@dataclass(frozen=True)
-class QuadSampleReport:
-    """Sampled (not proved) one-sided contraction estimate.
-
-    holds_on_samples: every sampled pair satisfied the strict inequality.
-    mu_estimate: negated worst sampled quadratic-form ratio.
-    """
-
-    holds_on_samples: bool
-    mu_estimate: float
-
-
-def quad_condition_sample(
-    dynamics: NodeDynamics,
-    P: np.ndarray,
-    c: float,
-    margin: float,
-    gamma: np.ndarray,
-    box: tuple[np.ndarray, np.ndarray],
-    samples: int,
-    seed: int,
-) -> QuadSampleReport:
-    """Sample the contraction inequality
-    (x-y)^T P (f(x) - f(y) - c*margin*Gamma(x-y)) <= -mu |x-y|^2 on a box.
-
-    Draws `samples` pairs uniformly (seeded), evaluates the quadratic-form
-    ratio q for each, and reports whether all q < 0 together with
-    mu_estimate = -max q. A sampling check only, not a proof.
-    """
-    if samples < 1:
-        raise ContractViolationError("samples must be >= 1")
-    P = np.asarray(P, dtype=float)
-    n = dynamics.dimension
-    if P.shape != (n, n) or np.any(P != np.diag(np.diag(P))) or np.any(np.diag(P) <= 0):
-        raise ContractViolationError("P must be a positive diagonal matrix")
-    gamma = np.asarray(gamma, dtype=float)
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
-        raise InvalidDomainError("box must have positive volume in every coordinate")
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    p_diag = np.diag(P)
-    worst = -math.inf
-    remaining = samples
-    while remaining > 0:
-        x = rng.uniform(lo, hi, size=(remaining, n))
-        y = rng.uniform(lo, hi, size=(remaining, n))
-        d = x - y
-        norms2 = np.sum(d * d, axis=1)
-        keep = norms2 > 0.0
-        if not np.any(keep):
-            continue
-        x, y, d, norms2 = x[keep], y[keep], d[keep], norms2[keep]
-        rhs = dynamics.field(x, 0.0) - dynamics.field(y, 0.0) - c * margin * (d * gamma)
-        q = np.sum(d * (rhs * p_diag), axis=1) / norms2
-        worst = max(worst, float(np.max(q)))
-        remaining -= len(q)
-    return QuadSampleReport(holds_on_samples=worst < 0.0, mu_estimate=-worst)

@@ -39,10 +39,6 @@ class RegionShapeError(PinnetError, RuntimeError):
     (-inf, r) with r <= 0: it is stable at 0, stable nowhere, or split."""
 
 
-class InvalidDomainError(PinnetError, ValueError):
-    """A sampling domain is empty or degenerate."""
-
-
 class DivergenceError(PinnetError, RuntimeError):
     """Integration produced a non-finite state.
 

@@ -35,7 +35,6 @@ __all__ = [
     "ReportRow",
     "ComparisonReport",
     "initial_state",
-    "run_scenario",
     "run_scenarios",
     "run_comparison",
     "write_report",
@@ -119,32 +118,19 @@ def build_system(scenario: Scenario) -> NetworkSystem:
     return NetworkSystem(chen_field(params), A, plan, GAMMA, params.equilibrium())
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir: Optional[Path] = None,
-    simulate: bool = True,
-    full_states: bool = False,
-) -> ReportRow:
-    """Run one scenario: analysis always, integration unless simulate=False.
-
-    Raises ScenarioDefinitionError when the realized cost disagrees with the
-    scenario's expected value. Divergence is reported as an outcome row, not
-    raised, so sweeps keep going.
-    """
-    return run_scenarios([scenario], out_dir, simulate, full_states)[0]
-
-
 def run_scenarios(
     scenarios: Sequence[Scenario],
     out_dir: Optional[Path] = None,
     simulate: bool = True,
     full_states: bool = False,
 ) -> list[ReportRow]:
-    """Run scenarios as run_scenario does each, in one step loop per group.
+    """One report row per scenario: analysis always, integration unless simulate=False.
 
-    A group shares N, the coupling matrix, h, T and record_every and runs in
-    one integrate_batch call; every member's numbers and artifacts are those
-    of its solo run.
+    Raises ScenarioDefinitionError when a realized cost disagrees with the
+    scenario's expected value; divergence is an outcome row, so sweeps keep
+    going. Scenarios sharing N, the coupling matrix, h, T and record_every
+    run in one integrate_batch call, each with the numbers and artifacts of
+    its run alone.
     """
     built, groups = [], {}
     for i, s in enumerate(scenarios):
@@ -178,9 +164,9 @@ def run_scenarios(
         if isinstance(result, DivergenceError):
             row = dataclasses.replace(row, outcome="diverged", blowup_time=result.time)
         elif result is not None:
-            result.sync_time = sync_time(result, scenario.sim.tol)
-            outcome = "synchronized" if result.sync_time is not None else "not-synchronized"
-            row = dataclasses.replace(row, sync_time=result.sync_time, outcome=outcome)
+            synced_at = sync_time(result, scenario.sim.tol)
+            outcome = "synchronized" if synced_at is not None else "not-synchronized"
+            row = dataclasses.replace(row, sync_time=synced_at, outcome=outcome)
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
             if isinstance(result, SimulationResult):

@@ -27,7 +27,6 @@ __all__ = [
     "cost",
     "controlled_coupling",
     "plan_to_dict",
-    "plan_from_dict",
     "pins_from_dict",
     "write_plan",
     "read_plan",
@@ -168,11 +167,6 @@ def pins_from_dict(
     return n, c, gains
 
 
-def plan_from_dict(d: dict) -> PinningPlan:
-    n, c, gains = pins_from_dict(d)
-    return plan_explicit(n, gains, c)
-
-
 def write_plan(plan: PinningPlan, path) -> None:
     with open(path, "w") as fh:
         json.dump(plan_to_dict(plan), fh, indent=2, sort_keys=True)
@@ -183,6 +177,7 @@ def read_plan(path) -> PinningPlan:
     """Read a plan file; a malformed one raises a PinnetError naming the file."""
     d = read_json(path)
     try:
-        return plan_from_dict(d)
+        n, c, gains = pins_from_dict(d)
+        return plan_explicit(n, gains, c)
     except PinnetError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

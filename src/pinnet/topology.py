@@ -9,7 +9,6 @@ states produce zero interaction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "cluster_stars",
     "barabasi_albert",
     "coupling_matrix",
-    "is_connected",
     "degrees",
     "format_edge_list",
     "write_edge_list",
@@ -68,16 +66,6 @@ class Graph:
             a[i, j] = 1.0
             a[j, i] = 1.0
         return a
-
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
 
 
 @dataclass(frozen=True)
@@ -174,23 +162,6 @@ def coupling_matrix(g: Graph) -> np.ndarray:
     a = g.adjacency()
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
-
-
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    nbrs = g.neighbors()
-    seen = [False] * g.n_nodes
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n_nodes
 
 
 def degrees(g: Graph) -> list[int]:

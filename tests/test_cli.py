@@ -143,8 +143,14 @@ def test_bad_explicit_pin_format_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_bad_sweep_values_exit_2(capsys):
-    assert main(["sweep", "fig2b", "--vary", "c", "--values", "1,x"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["sweep", "fig2b", "--vary", "c", "--values", "1,x"],
+    ["topology", "cluster", "--branches", "2,x"],
+    ["topology", "cluster", "--branches", ""],
+], ids=["values", "branches", "branches-empty"])
+def test_bad_comma_list_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert f"error: {argv[-2]} expects comma-separated" in capsys.readouterr().err
 
 
 def test_simulate_unknown_name_exits_2(capsys):

@@ -12,7 +12,7 @@ from pinnet.harness import (
     ComparisonReport,
     initial_state,
     run_comparison,
-    run_scenario,
+    run_scenarios,
     sweep,
 )
 from pinnet.scenarios import (
@@ -77,7 +77,7 @@ class TestScenarioRegistry:
 
     def test_shipped_costs(self):
         for name, cf in EXPECTED_CFS.items():
-            row = run_scenario(get_scenario(name), simulate=False)
+            row = run_scenarios([get_scenario(name)], simulate=False)[0]
             assert row.cf == cf, name
 
     def test_unknown_scenario(self):
@@ -121,7 +121,7 @@ class TestScenarioRegistry:
     def test_cf_mismatch_fails_loudly(self):
         bad = dataclasses.replace(get_scenario("fig2a"), expected_cf=1234.0)
         with pytest.raises(ScenarioDefinitionError):
-            run_scenario(bad, simulate=False)
+            run_scenarios([bad], simulate=False)
 
     def test_ba_family_mixed_plan_nodes(self):
         # fig9b pins the three hubs plus the two lowest-degree nodes, tie-broken
@@ -156,8 +156,8 @@ class TestRunScenario:
     def test_artifacts_and_reproducibility(self, tmp_path):
         scenario = quick(get_scenario("fig2b"))
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        row_a = run_scenario(scenario, out_dir=dir_a)
-        row_b = run_scenario(scenario, out_dir=dir_b)
+        row_a = run_scenarios([scenario], out_dir=dir_a)[0]
+        row_b = run_scenarios([scenario], out_dir=dir_b)[0]
         assert row_a == row_b
         csv_a = (dir_a / "fig2b.csv").read_bytes()
         assert csv_a == (dir_b / "fig2b.csv").read_bytes()
@@ -171,7 +171,7 @@ class TestRunScenario:
 
     def test_csv_format(self, tmp_path):
         scenario = quick(get_scenario("fig2b"), T=0.05)
-        run_scenario(scenario, out_dir=tmp_path)
+        run_scenarios([scenario], out_dir=tmp_path)
         lines = (tmp_path / "fig2b.csv").read_text().splitlines()
         assert lines[0] == "t,E"
         t, e = lines[1].split(",")
@@ -179,13 +179,13 @@ class TestRunScenario:
 
     def test_full_states_csv(self, tmp_path):
         scenario = quick(get_scenario("fig2b"), T=0.05)
-        run_scenario(scenario, out_dir=tmp_path, full_states=True)
+        run_scenarios([scenario], out_dir=tmp_path, full_states=True)
         lines = (tmp_path / "fig2b.csv").read_text().splitlines()
         assert lines[0] == "t,node,x1,x2,x3"
         assert len(lines) == 1 + 9 * ((0.05 / 1e-3) / 5 + 1)
 
     def test_not_simulated_row(self):
-        row = run_scenario(get_scenario("fig6d"), simulate=False)
+        row = run_scenarios([get_scenario("fig6d")], simulate=False)[0]
         assert row.outcome == "not-simulated"
         assert row.sync_time is None
         assert row.cf == 18000.0
@@ -276,7 +276,7 @@ class TestBaComparison:
 
 class TestReportFormatting:
     def test_cf_printed_exactly(self):
-        row = run_scenario(get_scenario("fig2a"), simulate=False)
+        row = run_scenarios([get_scenario("fig2a")], simulate=False)[0]
         text = ComparisonReport((row,)).to_csv_text()
         assert ",3000," in text
 

@@ -13,8 +13,8 @@ from pinnet.pinning import (
     cost,
     plan_by_degree,
     plan_explicit,
-    plan_from_dict,
     plan_to_dict,
+    pins_from_dict,
     read_plan,
     write_plan,
 )
@@ -189,7 +189,8 @@ class TestPlanJson:
     @TMP_FILE_SETTINGS
     @given(plan=plans())
     def test_round_trip(self, tmp_path, plan):
-        assert plan_from_dict(plan_to_dict(plan)) == plan
+        n, c, gains = pins_from_dict(plan_to_dict(plan))
+        assert plan_explicit(n, gains, c) == plan
         path = tmp_path / "plan.json"
         write_plan(plan, path)
         assert read_plan(path) == plan

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,11 +16,30 @@ from pinnet.topology import (
     coupling_matrix,
     degrees,
     format_edge_list,
-    is_connected,
     read_edge_list,
     star,
     write_edge_list,
 )
+
+def is_connected(g: Graph) -> bool:
+    """Breadth-first reachability of every node from node 0."""
+    nbrs = [[] for _ in range(g.n_nodes)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = [False] * g.n_nodes
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                queue.append(v)
+    return count == g.n_nodes
+
 
 # Frozen after the first run of barabasi_albert(20, 3, 2, seed=42).
 BA_20_3_2_SEED42_DEGREES = [10, 4, 7, 4, 7, 5, 8, 4, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2]
