@@ -119,14 +119,17 @@ def _cmd_pin(args) -> int:
     g = read_edge_list(args.edges)
     if args.explicit:
         gains = {}
-        try:
-            for item in args.explicit.split(","):
+        for item in args.explicit.split(","):
+            try:
                 node, gain = item.split(":")
-                gains[int(node)] = float(gain)
-        except ValueError as exc:
-            raise ScenarioDefinitionError(
-                f"--explicit expects node:gain,... pairs, got {args.explicit!r}"
-            ) from exc
+                node, gain = int(node), float(gain)
+            except ValueError as exc:
+                raise ScenarioDefinitionError(
+                    f"--explicit expects node:gain,... pairs, got {args.explicit!r}"
+                ) from exc
+            if node in gains:
+                raise ScenarioDefinitionError(f"--explicit pins node {node} twice")
+            gains[node] = gain
         plan = plan_explicit(g.n_nodes, gains, args.c)
     else:
         plan = plan_by_degree(g, args.strategy, args.count, args.gain, args.c)

@@ -132,11 +132,10 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
 
 @dataclass(frozen=True)
 class NetworkSystem:
-    """A coupled controlled network: dynamics, coupling matrix, plan, target."""
+    """The network that plans are compared on: dynamics, coupling, inner linking, target."""
 
     dynamics: NodeDynamics
     coupling: np.ndarray
-    plan: PinningPlan
     gamma: np.ndarray
     target: np.ndarray
 
@@ -145,11 +144,9 @@ class NetworkSystem:
         object.__setattr__(self, "coupling", np.asarray(self.coupling, dtype=float))
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
-        N = self.plan.n_nodes
-        if self.coupling.shape != (N, N):
-            raise ContractViolationError(
-                f"coupling shape {self.coupling.shape} vs plan on {N} nodes"
-            )
+        shape = self.coupling.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ContractViolationError(f"coupling matrix must be square, got shape {shape}")
         if self.gamma.shape != (n,) or not np.all(np.isin(self.gamma, (0.0, 1.0))):
             raise ContractViolationError("gamma must be a length-n 0/1 vector")
         if self.target.shape != (n,):
@@ -162,7 +159,7 @@ class NetworkSystem:
 
     @property
     def n_nodes(self) -> int:
-        return self.plan.n_nodes
+        return self.coupling.shape[0]
 
 
 @dataclass(frozen=True)

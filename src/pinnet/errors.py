@@ -109,9 +109,19 @@ def read_text(path) -> str:
 
 
 def read_json(path):
-    """The JSON document in the file `path`; malformed JSON raises a PinnetError naming it."""
+    """The JSON document in the file `path`; malformed JSON or a repeated key
+    in an object raises a PinnetError naming the file."""
     text = read_text(path)
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ContractViolationError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ContractViolationError(f"{path}: not JSON ({exc})") from None

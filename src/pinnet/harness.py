@@ -26,10 +26,10 @@ from .dynamics import (
     sync_time,
 )
 from .errors import ComparisonDefinitionError, DivergenceError, ScenarioDefinitionError
-from .pinning import cost, plan_to_dict
+from .pinning import PinningPlan, cost, plan_to_dict
 from .scenarios import Scenario
 from .spectral import controlled_spectrum
-from .topology import RNG_ALGORITHM, coupling_matrix
+from .topology import RNG_ALGORITHM, Graph, coupling_matrix
 
 __all__ = [
     "ReportRow",
@@ -109,13 +109,10 @@ def initial_state(target: np.ndarray, n_nodes: int, seed: int) -> np.ndarray:
     return target + offsets
 
 
-def build_system(scenario: Scenario) -> NetworkSystem:
-    """Resolve a scenario into a concrete controlled network (chaotic nodes)."""
-    g = scenario.topology.build()
-    A = coupling_matrix(g)
-    plan = scenario.plan.build(g)
+def build_system(g: Graph) -> NetworkSystem:
+    """The chaotic network on graph g, coupled through GAMMA, its target an equilibrium."""
     params = ChenParameters()
-    return NetworkSystem(chen_field(params), A, plan, GAMMA, params.equilibrium())
+    return NetworkSystem(chen_field(params), coupling_matrix(g), GAMMA, params.equilibrium())
 
 
 def run_scenarios(
@@ -128,39 +125,42 @@ def run_scenarios(
 
     Raises ScenarioDefinitionError when a realized cost disagrees with the
     scenario's expected value; divergence is an outcome row, so sweeps keep
-    going. Scenarios sharing N, the coupling matrix, h, T and record_every
-    run in one integrate_batch call, each with the numbers and artifacts of
-    its run alone.
+    going. Each distinct topology's graph, system and sigma* are built once.
+    Scenarios sharing the topology, h, T and record_every run in one
+    integrate_batch call, each with the numbers and artifacts of its run alone.
     """
-    built, groups = [], {}
+    networks, built, groups = {}, [], {}
     for i, s in enumerate(scenarios):
-        sys = build_system(s)
-        cf = cost(sys.plan)
+        if s.topology not in networks:
+            g = s.topology.build()
+            sys = build_system(g)
+            networks[s.topology] = g, sys, mode_threshold(sys)
+        g, sys, sigma_star = networks[s.topology]
+        plan = s.plan.build(g)
+        cf = cost(plan)
         if s.expected_cf is not None and cf != s.expected_cf:
             raise ScenarioDefinitionError(
                 f"{s.name}: cost {cf!r} does not match expected {s.expected_cf!r}"
             )
-        lam_max = controlled_spectrum(sys.coupling, sys.plan).lambda_max
-        sigma_star = mode_threshold(sys)
-        built.append((sys, ReportRow(
-            s.name, cf, sys.plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
+        lam_max = controlled_spectrum(sys.coupling, plan).lambda_max
+        built.append((plan, ReportRow(
+            s.name, cf, plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
         )))
-        key = (sys.n_nodes, sys.coupling.tobytes(), s.sim.h, s.sim.T, s.sim.record_every)
+        key = (s.topology, s.sim.h, s.sim.T, s.sim.record_every)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(scenarios)
-    for idx in groups.values() if simulate else ():
-        sys, sim = built[idx[0]][0], scenarios[idx[0]].sim
+    for (topology, h, T, record_every), idx in groups.items() if simulate else ():
+        sys = networks[topology][1]
         X0 = [initial_state(sys.target, sys.n_nodes, scenarios[i].sim.init_seed) for i in idx]
-        plans = [built[i][0].plan for i in idx]
         batch = integrate_batch(
-            sys, plans, np.array(X0), sim.h, sim.T,
-            record_every=sim.record_every, record_states=full_states,
+            sys, [built[i][0] for i in idx], np.array(X0), h, T,
+            record_every=record_every, record_states=full_states,
         )
         for i, result in zip(idx, batch):
             results[i] = result
 
     rows = []
-    for scenario, (sys, row), result in zip(scenarios, built, results):
+    for scenario, (plan, row), result in zip(scenarios, built, results):
         if isinstance(result, DivergenceError):
             row = dataclasses.replace(row, outcome="diverged", blowup_time=result.time)
         elif result is not None:
@@ -171,7 +171,7 @@ def run_scenarios(
             Path(out_dir).mkdir(parents=True, exist_ok=True)
             if isinstance(result, SimulationResult):
                 _write_timeseries(Path(out_dir, f"{scenario.name}.csv"), result, full_states)
-            _write_metadata(Path(out_dir, f"{scenario.name}.meta.json"), scenario, sys, row)
+            _write_metadata(Path(out_dir, f"{scenario.name}.meta.json"), scenario, plan, row)
         rows.append(row)
     return rows
 
@@ -192,13 +192,11 @@ def _write_timeseries(path: Path, result: SimulationResult, full_states: bool) -
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_metadata(
-    path: Path, scenario: Scenario, sys: NetworkSystem, row: ReportRow
-) -> None:
+def _write_metadata(path: Path, scenario: Scenario, plan: PinningPlan, row: ReportRow) -> None:
     meta = {
         "scenario": scenario.to_dict(),
         "rng_algorithm": RNG_ALGORITHM,
-        "plan": plan_to_dict(sys.plan),
+        "plan": plan_to_dict(plan),
         "cf": row.cf,
         "lambda_max_controlled": row.lambda_max_controlled,
         "sigma_star": row.sigma_star,

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, PinnetError, field, read_json
+from .errors import ContractViolationError, PinnetError, ScenarioDefinitionError, field, read_json
 from .topology import Graph, degrees
 
 __all__ = [
@@ -156,14 +156,17 @@ def pins_from_dict(
 
     Returns (n, c, gain by node); n is None when absent and not required.
     Raises ScenarioDefinitionError naming the field (under `where`) that is
-    missing or of the wrong type.
+    missing or of the wrong type, or the pin that repeats a node.
     """
     n = field(d, where, "n", int) if n_required or "n" in d else None
     c = field(d, where, "c", float)
     gains = {}
     for k, pin in enumerate(field(d, where, "pins", list)):
         at = f"{where}.pins[{k}]" if where else f"pins[{k}]"
-        gains[field(pin, at, "node", int)] = field(pin, at, "gain", float)
+        node = field(pin, at, "node", int)
+        if node in gains:
+            raise ScenarioDefinitionError(f"{at}: node {node} is pinned twice")
+        gains[node] = field(pin, at, "gain", float)
     return n, c, gains
 
 

@@ -40,9 +40,58 @@ __all__ = [
 BA_PARAMS = (20, 3, 3, 1520)
 
 
+class _Recipe:
+    """A recipe of one of several kinds, kept in the JSON object SECTION. FIELDS
+    gives each kind's fields and JSON types in reading order: a list holds ints,
+    a dict maps node indices to gains, and a (type, None) field is optional."""
+
+    def to_dict(self) -> dict:
+        d = {"kind": self.kind}
+        for name, typ in self.FIELDS.get(self.kind, {}).items():
+            value = getattr(self, name)
+            if value is not None:
+                d[name] = (list(value) if typ is list else
+                           {str(k): v for k, v in value.items()} if typ is dict else value)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        kind = field(d, cls.SECTION, "kind", str, None)
+        if kind not in cls.FIELDS:
+            raise ScenarioDefinitionError(f"unknown {cls.SECTION} kind {kind!r}")
+        values = {}
+        for name, typ in cls.FIELDS[kind].items():
+            at = f"{cls.SECTION}.{name}"
+            value = field(d, cls.SECTION, name, *(typ if isinstance(typ, tuple) else (typ,)))
+            if typ is list:
+                value = tuple(checked(x, int, f"{at}[{k}]") for k, x in enumerate(value))
+            elif typ is dict:
+                gains = {}
+                for key, gain in value.items():
+                    try:
+                        node = int(key)
+                    except ValueError:
+                        raise ScenarioDefinitionError(
+                            f"{at} key {key!r} is not a node index"
+                        ) from None
+                    if node in gains:
+                        raise ScenarioDefinitionError(f"{at}: node {node} is pinned twice")
+                    gains[node] = checked(gain, float, f"{at}.{key}")
+                value = gains
+            values[name] = value
+        return cls(kind, **values)
+
+
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Recipe):
     """Recipe for one of the supported graph families."""
+
+    SECTION = "topology"
+    FIELDS = {
+        "star": {"n": int},
+        "cluster": {"branch_sizes": list},
+        "ba": {"n": int, "m0": int, "m": int, "seed": int},
+    }
 
     kind: str  # "star" | "cluster" | "ba"
     n: Optional[int] = None
@@ -60,42 +109,23 @@ class TopologySpec:
             return barabasi_albert(int(self.n), int(self.m0), int(self.m), int(self.seed))
         raise ScenarioDefinitionError(f"unknown topology kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "star":
-            d["n"] = self.n
-        elif self.kind == "cluster":
-            d["branch_sizes"] = list(self.branch_sizes)
-        elif self.kind == "ba":
-            d.update(n=self.n, m0=self.m0, m=self.m, seed=self.seed)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TopologySpec":
-        get = partial(field, d, "topology")
-        kind = get("kind", str, None)
-        if kind == "star":
-            return TopologySpec("star", n=get("n", int))
-        if kind == "cluster":
-            sizes = get("branch_sizes", list)
-            return TopologySpec("cluster", branch_sizes=tuple(
-                checked(x, int, f"topology.branch_sizes[{k}]") for k, x in enumerate(sizes)
-            ))
-        if kind == "ba":
-            return TopologySpec(
-                "ba", n=get("n", int), m0=get("m0", int), m=get("m", int), seed=get("seed", int)
-            )
-        raise ScenarioDefinitionError(f"unknown topology kind {kind!r}")
-
 
 @dataclass(frozen=True)
-class PlanSpec:
+class PlanSpec(_Recipe):
     """Recipe for a pinning plan, resolved against a concrete graph.
 
     kinds: "by_degree" (strategy + count), "mixed" (largest + smallest
     counts, gains equal), "explicit" (per-node gains), "none" (zero-gain
     baseline; the only kind that admits c = 0).
     """
+
+    SECTION = "plan"
+    FIELDS = {
+        "none": {"c": float},
+        "by_degree": {"c": float, "strategy": str, "count": int, "gain": float},
+        "mixed": {"c": float, "largest": int, "smallest": int, "gain": float},
+        "explicit": {"c": float, "gains": dict, "n": (int, None)},
+    }
 
     kind: str
     c: float
@@ -128,45 +158,12 @@ class PlanSpec:
             )
         raise ScenarioDefinitionError(f"unknown plan kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "c": self.c}
-        if self.kind == "by_degree":
-            d.update(strategy=self.strategy, count=self.count, gain=self.gain)
-        elif self.kind == "mixed":
-            d.update(largest=self.largest, smallest=self.smallest, gain=self.gain)
-        elif self.kind == "explicit":
-            d["gains"] = {str(k): v for k, v in self.gains.items()}
-            if self.n is not None:
-                d["n"] = self.n
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "PlanSpec":
+    @classmethod
+    def from_dict(cls, d: dict) -> "PlanSpec":
         if isinstance(d, dict) and "pins" in d:  # the plan file written by the pin command
             n, c, gains = pins_from_dict(d, "plan", n_required=False)
             return PlanSpec("explicit", c, gains=gains, n=n)
-        get = partial(field, d, "plan")
-        kind = get("kind", str, None)
-        c = get("c", float)
-        if kind == "none":
-            return PlanSpec("none", c)
-        if kind == "by_degree":
-            return PlanSpec(
-                "by_degree", c, strategy=get("strategy", str), count=get("count", int),
-                gain=get("gain", float),
-            )
-        if kind == "mixed":
-            return PlanSpec(
-                "mixed", c, largest=get("largest", int), smallest=get("smallest", int),
-                gain=get("gain", float),
-            )
-        if kind == "explicit":
-            gains = {
-                _node_key(k): checked(v, float, f"plan.gains.{k}")
-                for k, v in get("gains", dict).items()
-            }
-            return PlanSpec("explicit", c, gains=gains, n=get("n", int, None))
-        raise ScenarioDefinitionError(f"unknown plan kind {kind!r}")
+        return super().from_dict(d)
 
 
 @dataclass(frozen=True)
@@ -236,14 +233,6 @@ class Scenario:
             sim=SimParams.from_dict(get("sim", dict)),
             expected_cf=None if d.get("expected_cf") is None else get("expected_cf", float),
         )
-
-
-def _node_key(key: str) -> int:
-    """An explicit plan's gains are keyed by node index, as a JSON string."""
-    try:
-        return int(key)
-    except ValueError:
-        raise ScenarioDefinitionError(f"plan.gains key {key!r} is not a node index") from None
 
 
 _STAR9 = TopologySpec("star", n=9)

@@ -45,15 +45,15 @@ def linear_field(F: np.ndarray) -> NodeDynamics:
     return NodeDynamics(n, field, jacobian, spectral_norm, "linear")
 
 
-def network_rhs(sys: NetworkSystem, X: np.ndarray, t: float) -> np.ndarray:
-    """Row i: f(x_i, t) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)."""
+def network_rhs(sys: NetworkSystem, plan: PinningPlan, X: np.ndarray, t: float) -> np.ndarray:
+    """Row i: f(x_i, t) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s) under `plan`."""
     X = np.asarray(X, dtype=float)
     if X.shape != (sys.n_nodes, sys.dynamics.dimension):
         raise ContractViolationError(
             f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
         )
     X = np.ascontiguousarray(X[None])
-    return _rhs(sys, [sys.plan], X, np.empty(X.shape))(t)[0]
+    return _rhs(sys, [plan], X, np.empty(X.shape))(t)[0]
 
 
 def sync_error(states: np.ndarray, target: np.ndarray) -> float:
@@ -64,28 +64,29 @@ def sync_error(states: np.ndarray, target: np.ndarray) -> float:
 
 def integrate_one(
     sys: NetworkSystem,
+    plan: PinningPlan,
     X0: np.ndarray,
     h: float,
     T: float,
     record_every: int = 1,
     record_states: bool = True,
 ) -> SimulationResult:
-    """integrate_batch of `sys` under its own plan from the (N, n) state X0.
+    """integrate_batch of `sys` under `plan` from the (N, n) state X0.
 
     Raises the member's DivergenceError (with the blow-up time) if the state
     goes non-finite.
     """
     X0 = np.asarray(X0, dtype=float)
-    (result,) = integrate_batch(sys, [sys.plan], X0[None], h, T, record_every, record_states)
+    (result,) = integrate_batch(sys, [plan], X0[None], h, T, record_every, record_states)
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
-def mode_matrix(sys: NetworkSystem, lambda_i: float) -> np.ndarray:
-    """Mode system matrix Df(s) + c * lambda_i * Gamma."""
+def mode_matrix(sys: NetworkSystem, plan: PinningPlan, lambda_i: float) -> np.ndarray:
+    """Mode system matrix Df(s) + c * lambda_i * Gamma, with c of `plan`."""
     jac = sys.dynamics.jacobian(sys.target, 0.0)
-    return jac + sys.plan.coupling_strength * lambda_i * np.diag(sys.gamma)
+    return jac + plan.coupling_strength * lambda_i * np.diag(sys.gamma)
 
 
 def modal_equivalence_check(
@@ -109,8 +110,8 @@ def modal_equivalence_check(
     U, lam = dec.eigenvectors, dec.eigenvalues
     dyn, zero = linear_field(F), np.zeros(e0.shape[1])
     plan = PinningPlan(len(lam), (0.0,) * len(lam), c)
-    full = integrate_one(NetworkSystem(dyn, A_tilde, plan, gamma, zero), e0, h, T)
-    modes = integrate_one(NetworkSystem(dyn, np.diag(lam), plan, gamma, zero), U.T @ e0, h, T)
+    full = integrate_one(NetworkSystem(dyn, A_tilde, gamma, zero), plan, e0, h, T)
+    modes = integrate_one(NetworkSystem(dyn, np.diag(lam), gamma, zero), plan, U.T @ e0, h, T)
     return float(np.max(np.abs(full.states - U @ modes.states)))
 
 

@@ -181,13 +181,12 @@ def test_08_rk4_order_on_chen():
     p = ChenParameters()
     from pinnet.topology import Graph
     sys = NetworkSystem(
-        chen_field(p), coupling_matrix(Graph(1, frozenset())),
-        PinningPlan(1, (0.0,), 0.0), np.ones(3), p.equilibrium(),
+        chen_field(p), coupling_matrix(Graph(1, frozenset())), np.ones(3), p.equilibrium(),
     )
     x0 = p.equilibrium() + np.array([0.5, -0.3, 0.2])
     ends = []
     for h in (2e-3, 1e-3, 5e-4):
-        res = integrate_one(sys, x0[None, :], h, 1.0, record_every=1)
+        res = integrate_one(sys, PinningPlan(1, (0.0,), 0.0), x0[None, :], h, 1.0, record_every=1)
         ends.append(res.states[-1, 0])
     e1 = np.linalg.norm(ends[0] - ends[1])
     e2 = np.linalg.norm(ends[1] - ends[2])
@@ -224,10 +223,12 @@ def test_11_stability_consistency_star_cluster():
     names = ("fig2a", "fig2b", "fig3a", "fig3b", "fig5a", "fig5b")
     rows = run_scenarios([get_scenario(name) for name in names])
     for name, row in zip(names, rows):
-        sys_net = build_system(get_scenario(name))
+        scenario = get_scenario(name)
+        g = scenario.topology.build()
+        sys_net, plan = build_system(g), scenario.plan.build(g)
         sigma = mode_threshold(sys_net)
-        lam1 = controlled_spectrum(sys_net.coupling, sys_net.plan).lambda_max
-        predicted = sys_net.plan.coupling_strength * lam1 < sigma
+        lam1 = controlled_spectrum(sys_net.coupling, plan).lambda_max
+        predicted = plan.coupling_strength * lam1 < sigma
         observed = row.outcome == "synchronized"
         if predicted != observed:
             mismatches.append(name)

@@ -22,6 +22,13 @@ SWEEP_SYNC = (
 )
 
 
+def scenario_system(name):
+    """A shipped scenario's network and its plan, both resolved on its graph."""
+    scenario = get_scenario(name)
+    g = scenario.topology.build()
+    return build_system(g), scenario.plan.build(g)
+
+
 def derived_epsilon(base, i, gain):
     """The scenario sweep() derives for position i and gain."""
     plan = dataclasses.replace(base.plan, gain=float(gain))
@@ -91,9 +98,9 @@ def test_batched_sweep_golden_sync_times(fig8b_sweep):
     )
 
 
-def reference_rk4(sys, X, h, T, record_every):
+def reference_rk4(sys, plan, X, h, T, record_every):
     """The solo step loop integrate_batch replaced, kept as the bitwise reference."""
-    c, eps = sys.plan.coupling_strength, sys.plan.gain_array()
+    c, eps = plan.coupling_strength, plan.gain_array()
 
     def rhs(X, t):
         out = sys.dynamics.field(X, t)
@@ -121,12 +128,13 @@ def test_mixed_batch_matches_reference_solo_loop():
     # Uncoupled, coupled but unpinned, leaf-pinned and mixed-pinned members on
     # the scale-free graph share one batch.
     names = ("fig6a", "fig6b", "fig8b", "fig9b")
-    systems = [build_system(get_scenario(name)) for name in names]
-    X0 = np.array([initial_state(s.target, s.n_nodes, i) for i, s in enumerate(systems)])
+    sys = scenario_system(names[0])[0]
+    plans = [scenario_system(name)[1] for name in names]
+    X0 = np.array([initial_state(sys.target, sys.n_nodes, i) for i in range(len(names))])
     h, T = 5e-4, 0.1
-    batch = integrate_batch(systems[0], [s.plan for s in systems], X0, h, T, record_every=5)
-    for sys, x0, result in zip(systems, X0, batch):
-        states, errors = reference_rk4(sys, x0, h, T, 5)
+    batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
+    for plan, x0, result in zip(plans, X0, batch):
+        states, errors = reference_rk4(sys, plan, x0, h, T, 5)
         assert np.array_equal(result.states, states)
         assert np.array_equal(result.error_metric, errors)
 
@@ -134,9 +142,9 @@ def test_mixed_batch_matches_reference_solo_loop():
 def test_start_state_memory_layout_does_not_matter():
     # The RHS reads and writes views bound once to the state buffers, so the
     # integrator must hold the state C-contiguous whatever layout X0 has.
-    sys = build_system(get_scenario("fig8b"))
+    sys, plan = scenario_system("fig8b")
     X0 = np.array([initial_state(sys.target, sys.n_nodes, seed) for seed in (1, 2)])
-    plans = [sys.plan, sys.plan]
+    plans = [plan, plan]
     c_order = integrate_batch(sys, plans, X0, 5e-4, 0.05, record_every=5)
     f_order = integrate_batch(sys, plans, np.asfortranarray(X0), 5e-4, 0.05, record_every=5)
     for a, b in zip(c_order, f_order):
@@ -147,28 +155,24 @@ def test_start_state_memory_layout_does_not_matter():
 def test_divergence_inside_a_batch():
     # Hub pinning, leaf pinning and the uncoupled network on the 9-node star;
     # the hub member starts far off and blows up, the others must not notice.
-    sys = build_system(get_scenario("fig2b"))
-    plans = [
-        sys.plan,
-        build_system(get_scenario("fig2a")).plan,
-        PinningPlan(9, (0.0,) * 9, 0.0),
-    ]
+    sys, leaf_plan = scenario_system("fig2b")
+    plans = [leaf_plan, scenario_system("fig2a")[1], PinningPlan(9, (0.0,) * 9, 0.0)]
     X0 = np.array([initial_state(sys.target, 9, seed) for seed in (1, 2, 3)])
     X0[1] += 1e4
     h, T = 5e-4, 0.25
     batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
 
     with pytest.raises(DivergenceError) as solo_blowup:
-        integrate_one(dataclasses.replace(sys, plan=plans[1]), X0[1], h, T, record_every=5)
+        integrate_one(sys, plans[1], X0[1], h, T, record_every=5)
     assert isinstance(batch[1], DivergenceError)
     assert batch[1].time == solo_blowup.value.time
     for b in (0, 2):
-        solo = integrate_one(dataclasses.replace(sys, plan=plans[b]), X0[b], h, T, record_every=5)
+        solo = integrate_one(sys, plans[b], X0[b], h, T, record_every=5)
         assert np.array_equal(batch[b].times, solo.times)
         assert np.array_equal(batch[b].states, solo.states)
         assert np.array_equal(batch[b].error_metric, solo.error_metric)
         # The buffers re-allocated after the drop, against the plain loop.
-        states, errors = reference_rk4(dataclasses.replace(sys, plan=plans[b]), X0[b], h, T, 5)
+        states, errors = reference_rk4(sys, plans[b], X0[b], h, T, 5)
         assert np.array_equal(batch[b].states, states)
         assert np.array_equal(batch[b].error_metric, errors)
 
@@ -185,18 +189,16 @@ def test_field_result_is_never_written(returned):
     def jacobian(x, t):
         return np.eye(3) if returned == "input" else np.eye(3)[::-1]
 
-    star_sys = build_system(get_scenario("fig2b"))
+    star_sys, leaf_plan = scenario_system("fig2b")
     sys = dataclasses.replace(
         star_sys, dynamics=NodeDynamics(3, field, jacobian, 1.0, returned), target=np.zeros(3)
     )
-    plans = [
-        star_sys.plan, build_system(get_scenario("fig2a")).plan, PinningPlan(9, (0.0,) * 9, 0.0)
-    ]
+    plans = [leaf_plan, scenario_system("fig2a")[1], PinningPlan(9, (0.0,) * 9, 0.0)]
     X0 = np.array([initial_state(sys.target, 9, seed) for seed in (1, 2, 3)])
     h, T = 5e-4, 0.1
     batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
     for plan, x0, result in zip(plans, X0, batch):
-        states, errors = reference_rk4(dataclasses.replace(sys, plan=plan), x0, h, T, 5)
+        states, errors = reference_rk4(sys, plan, x0, h, T, 5)
         assert np.array_equal(result.states, states)
         assert np.array_equal(result.error_metric, errors)
 
@@ -207,7 +209,7 @@ def zero_field_star():
         return np.zeros(np.shape(x))
 
     return dataclasses.replace(
-        build_system(get_scenario("fig2b")),
+        scenario_system("fig2b")[0],
         dynamics=NodeDynamics(3, field, lambda x, t: np.zeros((3, 3)), 1.0, "zero"),
         target=np.zeros(3),
     )
@@ -239,10 +241,10 @@ def test_uncoupled_member_ignores_an_overflowing_coupling_product():
     assert all(np.array_equal(x, X0[0]) for x in result.states)
 
 
-def first_non_finite_time(sys, x0, h, T):
+def first_non_finite_time(sys, plan, x0, h, T):
     """The time of the first step at which the plain RK4 loop's state is not finite."""
     with np.errstate(all="ignore"):
-        states, _ = reference_rk4(sys, x0, h, T, 1)
+        states, _ = reference_rk4(sys, plan, x0, h, T, 1)
     step = int(np.argmin(np.isfinite(states).all(axis=(1, 2))))
     assert step > 0
     return step * h
@@ -250,7 +252,7 @@ def first_non_finite_time(sys, x0, h, T):
 
 @pytest.mark.parametrize("case", ["blow-up", "overflowing-sum"])
 def test_divergence_time_is_the_first_non_finite_step(case):
-    star_sys = build_system(get_scenario("fig2b"))
+    star_sys, plan = scenario_system("fig2b")
     if case == "blow-up":
         # The hub-pinned star started far off: the chaotic field blows up.
         sys, h, T = star_sys, 5e-4, 0.25
@@ -261,13 +263,14 @@ def test_divergence_time_is_the_first_non_finite_step(case):
         # overflows for several steps while every entry is still finite.
         sys = dataclasses.replace(
             star_sys, dynamics=linear_field(0.5 * np.eye(3)), coupling=np.zeros((9, 9)),
-            target=np.zeros(3), plan=PinningPlan(9, (0.0,) * 9, 0.0),
+            target=np.zeros(3),
         )
+        plan = PinningPlan(9, (0.0,) * 9, 0.0)
         h, T = 0.5, 10.0
         X0 = np.stack([np.full((9, 3), 1e307), np.ones((9, 3))])
-    batch = integrate_batch(sys, [sys.plan, sys.plan], X0, h, T)
+    batch = integrate_batch(sys, [plan, plan], X0, h, T)
     assert isinstance(batch[0], DivergenceError)
-    assert batch[0].time == first_non_finite_time(sys, X0[0], h, T)
+    assert batch[0].time == first_non_finite_time(sys, plan, X0[0], h, T)
     assert not isinstance(batch[1], DivergenceError)
 
 
@@ -281,30 +284,37 @@ def test_uncoupled_member_diverges_at_its_first_non_finite_step():
     h, T = 0.5, 10.0
     batch = integrate_batch(sys, [uncoupled, coupled], X0, h, T)
     assert isinstance(batch[0], DivergenceError)
-    expected = first_non_finite_time(dataclasses.replace(sys, plan=uncoupled), X0[0], h, T)
+    expected = first_non_finite_time(sys, uncoupled, X0[0], h, T)
     assert batch[0].time == expected
     assert not isinstance(batch[1], DivergenceError)
 
 
 def test_every_member_diverging_returns_errors():
-    sys = build_system(get_scenario("fig2b"))
+    sys, plan = scenario_system("fig2b")
     X0 = np.tile(sys.target + 1e4, (2, 9, 1))
-    batch = integrate_batch(sys, [sys.plan, sys.plan], X0, 1e-3, 0.5)
+    batch = integrate_batch(sys, [plan, plan], X0, 1e-3, 0.5)
     assert all(isinstance(r, DivergenceError) for r in batch)
 
 
 def test_summary_batch_records_no_states():
-    sys = build_system(get_scenario("fig2b"))
+    sys, plan = scenario_system("fig2b")
     X0 = initial_state(sys.target, 9, 0)[None]
-    (result,) = integrate_batch(sys, [sys.plan], X0, 1e-3, 0.1, record_states=False)
+    (result,) = integrate_batch(sys, [plan], X0, 1e-3, 0.1, record_states=False)
     assert result.states is None
     assert len(result.error_metric) == 101
 
 
 def test_batch_rejects_mismatched_states():
-    sys = build_system(get_scenario("fig2b"))
+    sys, plan = scenario_system("fig2b")
     with pytest.raises(ContractViolationError):
-        integrate_batch(sys, [sys.plan, sys.plan], np.zeros((1, 9, 3)), 1e-3, 0.1)
+        integrate_batch(sys, [plan, plan], np.zeros((1, 9, 3)), 1e-3, 0.1)
+
+
+def test_batch_rejects_a_plan_on_other_nodes():
+    sys, plan = scenario_system("fig2b")
+    X0 = np.tile(sys.target, (2, 9, 1))
+    with pytest.raises(ContractViolationError, match="system's 9 nodes"):
+        integrate_batch(sys, [plan, PinningPlan(8, (0.0,) * 8, 1.0)], X0, 1e-3, 0.1)
 
 
 def test_c_sweep_guard_failure_matches_solo_message():

@@ -143,6 +143,38 @@ def test_bad_explicit_pin_format_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_pin_explicit_duplicate_node_exits_2(tmp_path, capsys):
+    edges = tmp_path / "star.txt"
+    plan = tmp_path / "p.json"
+    main(["topology", "star", "--n", "3", "--out", str(edges)])
+    code = main(["pin", "--edges", str(edges), "--explicit", "0:5,0:6", "--plan-out", str(plan)])
+    assert code == 2
+    assert "error: --explicit pins node 0 twice" in capsys.readouterr().err
+    assert not plan.exists()
+
+
+def test_explicit_plan_gains_naming_one_node_twice_exit_2(tmp_path, capsys):
+    # "1" and "01" are two JSON keys but one node index.
+    scenario = get_scenario("fig2b").to_dict()
+    scenario["plan"] = {"kind": "explicit", "c": 10.0, "gains": {"1": 2.0, "01": 3.0}}
+    path = tmp_path / "dup_gains.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: plan.gains: node 1 is pinned twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_file_with_duplicate_key_exits_2(tmp_path, capsys):
+    scenario = get_scenario("fig2b").to_dict()
+    text = json.dumps(scenario).replace('"T": 5.0', '"T": 5.0, "T": 0.01')
+    assert '"T": 0.01' in text
+    path = tmp_path / "dup_key.json"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: duplicate key 'T'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "fig2b", "--vary", "c", "--values", "1,x"],
     ["topology", "cluster", "--branches", "2,x"],
@@ -269,6 +301,8 @@ def test_scenario_file_error_names_the_file(command, tmp_path, capsys):
     ("--edges", "N x\n0 1\n", "edges:1"),
     ("--plan", '{"n": 3, "c": 1.0}', "plan: pins is missing"),
     ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": "a", "gain": 1.0}]}', "plan: pins[0].node"),
+    ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": 1, "gain": 1.0}, {"node": 1, "gain": 2.0}]}',
+     "plan: pins[1]: node 1 is pinned twice"),
     ("--edges", b"N 3\n0 1\xff\n", "edges: not UTF-8 text"),
     ("--plan", "not json", "plan: not JSON"),
     ("simulate", b"\xff\xfe{}", "scenario.json: not UTF-8 text"),

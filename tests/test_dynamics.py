@@ -47,15 +47,16 @@ def single_node_system(dyn, target=None):
     A = coupling_matrix(g)
     if target is None:
         target = np.zeros(dyn.dimension)
-    return NetworkSystem(dyn, A, zero_plan(1), np.ones(dyn.dimension), target)
+    return NetworkSystem(dyn, A, np.ones(dyn.dimension), target)
 
 
-def chen_star_system(n=9, plan=None):
+# All eight leaves of the 9-node star pinned at gain 1.5, c = 10.
+LEAF_PLAN = plan_by_degree(star(9), "smallest", 8, 1.5, 10.0)
+
+
+def chen_star_system(n=9):
     p = ChenParameters()
-    A = coupling_matrix(star(n))
-    if plan is None:
-        plan = plan_by_degree(star(n), "smallest", n - 1, 1.5, 10.0)
-    return NetworkSystem(chen_field(p), A, plan, GAMMA, p.equilibrium())
+    return NetworkSystem(chen_field(p), coupling_matrix(star(n)), GAMMA, p.equilibrium())
 
 
 class TestChenField:
@@ -122,14 +123,14 @@ class TestNetworkRhs:
     def test_vanishes_on_synchronization_manifold(self):
         sys = chen_star_system()
         X = np.tile(sys.target, (9, 1))
-        rhs = network_rhs(sys, X, 0.0)
+        rhs = network_rhs(sys, LEAF_PLAN, X, 0.0)
         assert np.max(np.abs(rhs)) < 1e-10
 
     def test_single_uncoupled_node_reduces_to_field(self, rng):
         dyn = chen_field()
         sys = single_node_system(dyn, ChenParameters().equilibrium())
         x = rng.uniform(-5, 5, (1, 3))
-        assert np.allclose(network_rhs(sys, x, 0.0), dyn.field(x, 0.0), atol=0)
+        assert np.allclose(network_rhs(sys, zero_plan(1), x, 0.0), dyn.field(x, 0.0), atol=0)
 
     def test_matches_kronecker_operator_for_linear_nodes(self, rng):
         # error dynamics of a linear node field against the block operator
@@ -140,24 +141,24 @@ class TestNetworkRhs:
         F = rng.uniform(-1, 1, (nn, nn))
         plan = plan_explicit(n, {0: 1.3, 3: 0.7}, 0.8)
         gamma = np.array([1.0, 0.0, 1.0])
-        sys = NetworkSystem(linear_field(F), A, plan, gamma, np.zeros(nn))
+        sys = NetworkSystem(linear_field(F), A, gamma, np.zeros(nn))
         X = rng.uniform(-1, 1, (n, nn))
         G = np.diag(plan.gain_array())
         block = np.kron(np.eye(n), F) + 0.8 * np.kron(A - G, np.diag(gamma))
         expected = (block @ X.reshape(-1)).reshape(n, nn)
-        assert np.allclose(network_rhs(sys, X, 0.0), expected, atol=1e-12)
+        assert np.allclose(network_rhs(sys, plan, X, 0.0), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         sys = chen_star_system()
         with pytest.raises(ContractViolationError):
-            network_rhs(sys, np.zeros((4, 3)), 0.0)
+            network_rhs(sys, LEAF_PLAN, np.zeros((4, 3)), 0.0)
 
 
 class TestIntegrateRk4:
     def test_exponential_decay_exact_order(self):
         dyn = linear_field(np.array([[-1.0]]))
         sys = single_node_system(dyn)
-        res = integrate_one(sys, np.array([[1.0]]), 0.01, 1.0, record_every=1)
+        res = integrate_one(sys, zero_plan(1), np.array([[1.0]]), 0.01, 1.0, record_every=1)
         assert abs(res.states[-1, 0, 0] - math.exp(-1.0)) < 1e-9
         assert res.times[-1] == pytest.approx(1.0)
 
@@ -167,7 +168,7 @@ class TestIntegrateRk4:
         x0 = p.equilibrium() + np.array([0.5, -0.3, 0.2])
         ends = []
         for h in (2e-3, 1e-3, 5e-4):
-            res = integrate_one(sys, x0[None, :], h, 1.0, record_every=1)
+            res = integrate_one(sys, zero_plan(1), x0[None, :], h, 1.0, record_every=1)
             assert res.times[-1] == pytest.approx(1.0)
             ends.append(res.states[-1, 0])
         e1 = np.linalg.norm(ends[0] - ends[1])
@@ -176,10 +177,10 @@ class TestIntegrateRk4:
         assert 3.7 <= order <= 4.3
 
     def test_step_guard_rejects_large_h(self):
-        sys = chen_star_system(plan=plan_explicit(9, {0: 300.0}, 10.0))
+        sys, plan = chen_star_system(), plan_explicit(9, {0: 300.0}, 10.0)
         # stiffness ~ 80 + 10*(9+300); h=1e-2 is far beyond the guard
         with pytest.raises(ContractViolationError):
-            integrate_one(sys, np.tile(sys.target, (9, 1)), 1e-2, 1.0)
+            integrate_one(sys, plan, np.tile(sys.target, (9, 1)), 1e-2, 1.0)
 
     def test_divergence_error_carries_time(self):
         def field(x, t):
@@ -192,19 +193,19 @@ class TestIntegrateRk4:
         dyn = NodeDynamics(1, field, jac, 1.0, "quadratic")
         sys = single_node_system(dyn)
         with pytest.raises(DivergenceError) as exc:
-            integrate_one(sys, np.array([[10.0]]), 0.01, 5.0)
+            integrate_one(sys, zero_plan(1), np.array([[10.0]]), 0.01, 5.0)
         assert 0.0 < exc.value.time <= 5.0
 
     def test_manifold_invariance(self):
         sys = chen_star_system()
         X0 = np.tile(sys.target, (9, 1))
-        res = integrate_one(sys, X0, 1e-3, 2.0, record_every=10)
+        res = integrate_one(sys, LEAF_PLAN, X0, 1e-3, 2.0, record_every=10)
         assert np.max(res.error_metric) <= 1e-9
 
     def test_record_every(self):
         dyn = linear_field(np.array([[-1.0]]))
         sys = single_node_system(dyn)
-        res = integrate_one(sys, np.array([[1.0]]), 0.01, 1.0, record_every=10)
+        res = integrate_one(sys, zero_plan(1), np.array([[1.0]]), 0.01, 1.0, record_every=10)
         assert len(res.times) == 11
         assert np.allclose(np.diff(res.times), 0.1)
 
@@ -212,9 +213,9 @@ class TestIntegrateRk4:
         sys = chen_star_system()
         X0 = np.tile(sys.target, (9, 1))
         with pytest.raises(ContractViolationError):
-            integrate_one(sys, X0, -1e-3, 1.0)
+            integrate_one(sys, LEAF_PLAN, X0, -1e-3, 1.0)
         with pytest.raises(ContractViolationError):
-            integrate_one(sys, X0, 1e-3, 1e-4)
+            integrate_one(sys, LEAF_PLAN, X0, 1e-3, 1e-4)
 
     @pytest.mark.parametrize("h,T", [
         (float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("nan")), (1e-3, float("inf")),
@@ -222,7 +223,7 @@ class TestIntegrateRk4:
     def test_rejects_non_finite_step_parameters(self, h, T):
         sys = chen_star_system()
         with pytest.raises(ContractViolationError, match="finite"):
-            integrate_one(sys, np.tile(sys.target, (9, 1)), h, T)
+            integrate_one(sys, LEAF_PLAN, np.tile(sys.target, (9, 1)), h, T)
 
 
 class TestSyncMetrics:
@@ -272,11 +273,11 @@ class TestModeMatrix:
     def test_lambda_zero_gives_jacobian(self):
         sys = chen_star_system()
         jac = sys.dynamics.jacobian(sys.target, 0.0)
-        assert np.array_equal(mode_matrix(sys, 0.0), jac)
+        assert np.array_equal(mode_matrix(sys, LEAF_PLAN, 0.0), jac)
 
     def test_chen_entry_shift(self):
-        sys = chen_star_system(plan=plan_by_degree(star(9), "smallest", 8, 1.5, 10.0))
-        m = mode_matrix(sys, -10.0)  # c=10, so c*lambda = -100 lands on entry (1,1)
+        sys = chen_star_system()
+        m = mode_matrix(sys, LEAF_PLAN, -10.0)  # c=10, so c*lambda = -100 lands on entry (1,1)
         jac = sys.dynamics.jacobian(sys.target, 0.0)
         assert m[1, 1] == jac[1, 1] - 100.0
         m_zeroed = m.copy()
@@ -286,11 +287,9 @@ class TestModeMatrix:
     def test_linear_field(self, rng):
         F = rng.uniform(-1, 1, (3, 3))
         g = Graph(1, frozenset())
-        sys = NetworkSystem(
-            linear_field(F), coupling_matrix(g), zero_plan(1, 2.0), GAMMA, np.zeros(3)
-        )
+        sys = NetworkSystem(linear_field(F), coupling_matrix(g), GAMMA, np.zeros(3))
         lam = -1.7
-        assert np.allclose(mode_matrix(sys, lam), F + 2.0 * lam * np.diag(GAMMA), atol=0)
+        assert np.allclose(mode_matrix(sys, zero_plan(1, 2.0), lam), F + 2.0 * lam * np.diag(GAMMA), atol=0)
 
 
 class TestSpectralAbscissa3:
@@ -385,7 +384,7 @@ class TestModeThreshold:
         # so np.roots' companion matrix overflows.
         F = [[0.0, 1.0, 0.0], [1.0, 2.2250738585e-313, 0.0], [0.0, 0.0, 0.0]]
         gamma = np.array([1.0, 0.0, 0.0])
-        sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), zero_plan(1), gamma, np.zeros(3))
+        sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), gamma, np.zeros(3))
         with pytest.raises(NumericalFailureError, match=r"Hurwitz polynomial a1\*a2 - a3"):
             mode_threshold(sys)
 
@@ -405,7 +404,7 @@ class TestModeThreshold:
         rng = np.random.Generator(np.random.PCG64(seed))
         F = rng.uniform(-5.0, 5.0, (3, 3))
         gamma = rng.integers(0, 2, 3).astype(float)
-        sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), zero_plan(1), gamma, np.zeros(3))
+        sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), gamma, np.zeros(3))
 
         def stable(sigma):
             return _oracle_stable(F + sigma * np.diag(gamma))
@@ -426,8 +425,8 @@ class TestModeThreshold:
     def test_predicts_leaf_pinned_star_synchronizes(self):
         sys = chen_star_system()
         sigma = mode_threshold(sys)
-        lam1 = controlled_spectrum(sys.coupling, sys.plan).lambda_max
-        assert sys.plan.coupling_strength * lam1 < sigma
+        lam1 = controlled_spectrum(sys.coupling, LEAF_PLAN).lambda_max
+        assert LEAF_PLAN.coupling_strength * lam1 < sigma
 
 
 class TestStabilityConsistency:
@@ -435,18 +434,18 @@ class TestStabilityConsistency:
         # synchronizing instance: all leaves pinned at c=10
         sync_sys = chen_star_system()
         sigma = mode_threshold(sync_sys)
-        lam1 = controlled_spectrum(sync_sys.coupling, sync_sys.plan).lambda_max
-        assert sync_sys.plan.coupling_strength * lam1 < sigma
+        lam1 = controlled_spectrum(sync_sys.coupling, LEAF_PLAN).lambda_max
+        assert LEAF_PLAN.coupling_strength * lam1 < sigma
         X0 = sync_sys.target + _ball_offsets(9, seed=30)
-        res = integrate_one(sync_sys, X0, 5e-4, 3.0, record_every=5)
+        res = integrate_one(sync_sys, LEAF_PLAN, X0, 5e-4, 3.0, record_every=5)
         assert sync_time(res, 1e-2) is not None
 
         # non-synchronizing instance: center pinned hard but coupling too weak
-        weak = chen_star_system(plan=plan_explicit(9, {0: 300.0}, 1.0))
-        lam1_weak = controlled_spectrum(weak.coupling, weak.plan).lambda_max
-        assert weak.plan.coupling_strength * lam1_weak > sigma
+        weak, weak_plan = chen_star_system(), plan_explicit(9, {0: 300.0}, 1.0)
+        lam1_weak = controlled_spectrum(weak.coupling, weak_plan).lambda_max
+        assert weak_plan.coupling_strength * lam1_weak > sigma
         X0 = weak.target + _ball_offsets(9, seed=31)
-        res = integrate_one(weak, X0, 5e-4, 3.0, record_every=5)
+        res = integrate_one(weak, weak_plan, X0, 5e-4, 3.0, record_every=5)
         assert sync_time(res, 1e-2) is None
 
 
@@ -546,17 +545,16 @@ class TestNetworkSystemValidation:
         p = ChenParameters()
         A = coupling_matrix(star(3))
         with pytest.raises(ContractViolationError):
-            NetworkSystem(chen_field(p), A, zero_plan(3), np.array([0.0, 2.0, 0.0]), p.equilibrium())
+            NetworkSystem(chen_field(p), A, np.array([0.0, 2.0, 0.0]), p.equilibrium())
 
     def test_target_not_equilibrium(self):
         p = ChenParameters()
         A = coupling_matrix(star(3))
         with pytest.raises(ContractViolationError):
-            NetworkSystem(chen_field(p), A, zero_plan(3), GAMMA, np.array([1.0, 2.0, 3.0]))
+            NetworkSystem(chen_field(p), A, GAMMA, np.array([1.0, 2.0, 3.0]))
 
-    def test_shape_mismatch(self):
+    def test_non_square_coupling(self):
         p = ChenParameters()
-        with pytest.raises(ContractViolationError):
-            NetworkSystem(
-                chen_field(p), coupling_matrix(star(4)), zero_plan(3), GAMMA, p.equilibrium()
-            )
+        for shape in [(4, 3), (3, 4), (9,), (1, 3, 3)]:
+            with pytest.raises(ContractViolationError, match="square"):
+                NetworkSystem(chen_field(p), np.zeros(shape), GAMMA, p.equilibrium())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinnet.harness
 from conftest import mutated
 from pinnet.errors import ComparisonDefinitionError, PinnetError, ScenarioDefinitionError
 from pinnet.harness import (
@@ -189,6 +190,29 @@ class TestRunScenario:
         assert row.outcome == "not-simulated"
         assert row.sync_time is None
         assert row.cf == 18000.0
+
+    @pytest.mark.parametrize("names,distinct", [
+        (["fig8b"] * 12, 1), (["fig2a", "fig2b", "fig5a"], 2),
+    ])
+    def test_each_topology_is_built_once(self, names, distinct, monkeypatch):
+        calls = {"build": 0, "mode_threshold": 0}
+        build, threshold = TopologySpec.build, pinnet.harness.mode_threshold
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(TopologySpec, "build", counted("build", build))
+        monkeypatch.setattr(pinnet.harness, "mode_threshold", counted("mode_threshold", threshold))
+        scenarios = [
+            dataclasses.replace(get_scenario(name), name=f"{name}.{i}")
+            for i, name in enumerate(names)
+        ]
+        rows = run_scenarios(scenarios, simulate=False)
+        assert calls == {"build": distinct, "mode_threshold": distinct}
+        assert [r.cf for r in rows] == [EXPECTED_CFS[name] for name in names]
 
 
 class TestRunComparison:

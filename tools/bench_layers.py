@@ -3,10 +3,11 @@
     python tools/bench_layers.py --src parent=<parent checkout>/src --src change=src \
         --rounds 3 --out BENCH_<pr>.json
 
-Each `--src LABEL=DIR` names a source tree holding the `pinnet` package; one
-`--src` measures a single tree. Every measurement runs in a fresh Python
-process that imports pinnet from DIR, and the rounds alternate which tree
-goes first, so both trees see the same host conditions. Measured per tree:
+Each `--src LABEL=DIR` names a source tree holding the `pinnet` package, one
+whose `NetworkSystem` holds no plan and whose `harness.build_system` takes a
+graph; one `--src` measures a single tree. Every measurement runs in a fresh
+Python process that imports pinnet from DIR, and the rounds alternate which
+tree goes first, so both trees see the same host conditions. Measured per tree:
 
 - `rk4_step_us`: one RK4 step of `integrate_batch` on fig8b's 20-node
   scale-free system with B copies of its plan (B = 1, 2, 3, 5, 12),
@@ -26,7 +27,6 @@ Set OPENBLAS_NUM_THREADS=1 in the environment for one-thread BLAS numbers.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -50,23 +50,6 @@ def _median_time(fn, repeats: int = REPEATS) -> float:
     return statistics.median(times)
 
 
-def _bound_rhs(dynamics, system, plans, X):
-    """A zero-argument call of one RHS evaluation on the batch X.
-
-    `dynamics._rhs` is private. Two forms are known: `_rhs(sys, plans)`
-    returning rhs(X, t, out), and `_rhs(sys, plans, X, out)` returning
-    rhs(t), bound to its buffers.
-    """
-    import numpy as np
-
-    out = np.empty_like(X)
-    if len(inspect.signature(dynamics._rhs).parameters) == 2:
-        rhs = dynamics._rhs(system, plans)
-        return lambda: rhs(X, 0.0, out)
-    rhs = dynamics._rhs(system, plans, X, out)
-    return lambda: rhs(0.0)
-
-
 def measure() -> dict:
     """Time the layers of the pinnet importable in this process."""
     import numpy as np
@@ -75,25 +58,31 @@ def measure() -> dict:
     from pinnet.harness import build_system, initial_state
     from pinnet.scenarios import get_scenario
 
-    sys_ba = build_system(get_scenario("fig8b"))
+    def network(names):
+        """The system on the scenarios' shared graph and each scenario's plan."""
+        scenarios = [get_scenario(name) for name in names]
+        g = scenarios[0].topology.build()
+        return build_system(g), [s.plan.build(g) for s in scenarios]
+
+    sys_ba, (plan_ba,) = network(["fig8b"])
     x0 = initial_state(sys_ba.target, sys_ba.n_nodes, 0)
     step_us = {}
     for B in BATCH_SIZES:
         X0 = np.repeat(x0[None], B, axis=0)
-        plans = [sys_ba.plan] * B
+        plans = [plan_ba] * B
         run = lambda: dynamics.integrate_batch(  # noqa: E731
             sys_ba, plans, X0, H, STEPS * H, record_every=5, record_states=False
         )
         run()
         step_us[str(B)] = 1e6 * _median_time(run) / STEPS
 
-    pair = [build_system(get_scenario(name)) for name in ("fig2a", "fig2b")]
-    X = np.array([initial_state(s.target, s.n_nodes, i) for i, s in enumerate(pair)])
-    call = _bound_rhs(dynamics, pair[0], [s.plan for s in pair], X)
+    sys_star, pair = network(["fig2a", "fig2b"])
+    X = np.array([initial_state(sys_star.target, sys_star.n_nodes, i) for i in range(2)])
+    rhs = dynamics._rhs(sys_star, pair, X, np.empty_like(X))
 
     def calls():
         for _ in range(STEPS):
-            call()
+            rhs(0.0)
 
     calls()
     rhs_us = 1e6 * _median_time(calls) / STEPS
