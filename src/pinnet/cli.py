@@ -106,7 +106,13 @@ def _cmd_spectrum(args) -> int:
     g = read_edge_list(args.edges)
     A = coupling_matrix(g)
     if args.plan is not None:
-        dec = controlled_spectrum(A, read_plan(args.plan))
+        plan = read_plan(args.plan)
+        if plan.n_nodes != g.n_nodes:
+            raise ScenarioDefinitionError(
+                f"{args.plan}: plan on {plan.n_nodes} nodes does not match "
+                f"{args.edges} on {g.n_nodes} nodes"
+            )
+        dec = controlled_spectrum(A, plan)
     else:
         dec = eig_symmetric(A)
     print("index,eigenvalue")

@@ -50,21 +50,19 @@ RK4_STABILITY_SPAN = 2.5
 
 @dataclass(frozen=True)
 class NodeDynamics:
-    """Isolated-node vector field with its Jacobian.
+    """Autonomous isolated-node vector field with its Jacobian.
 
-    `field(x, t)` accepts a single state of shape (n,) or a batch (..., n)
-    and returns the same shape; `jacobian(x, t)` takes a single state.
-    The integrator calls `field` on all nodes of a batch as one (M, n) array.
-    `field` may return any array, a fresh one, its input or a view of it:
-    the integrator copies the result and never writes to it.
-    `lipschitz` is the stiffness estimate used by the integrator guard.
+    `bind(x, out)` takes two C-contiguous (M, n) arrays and returns a kernel,
+    called with no argument, that writes f of each row of x, as x holds at
+    call time, into the same row of out; the views it needs are made once,
+    at binding. `jacobian(x)` takes a single (n,) state. `lipschitz` is the
+    stiffness estimate used by the integrator guard.
     """
 
     dimension: int
-    field: Callable[[np.ndarray, float], np.ndarray]
-    jacobian: Callable[[np.ndarray, float], np.ndarray]
+    bind: Callable[[np.ndarray, np.ndarray], Callable[[], None]]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    name: str
 
 
 @dataclass(frozen=True)
@@ -79,10 +77,10 @@ class ChenParameters:
         if 2.0 * self.c - self.a <= 0:
             raise ContractViolationError("need 2c - a > 0 for real equilibria")
 
-    def equilibrium(self, sign: int = 1) -> np.ndarray:
-        """Nonzero equilibrium (+-r, +-r, 2c-a) with r = sqrt(b(2c-a))."""
+    def equilibrium(self) -> np.ndarray:
+        """Nonzero equilibrium (r, r, 2c-a) with r = sqrt(b(2c-a))."""
         r = math.sqrt(self.b * (2.0 * self.c - self.a))
-        return np.array([sign * r, sign * r, 2.0 * self.c - self.a])
+        return np.array([r, r, 2.0 * self.c - self.a])
 
 
 def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
@@ -97,26 +95,30 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     # them with less overhead than Python floats, with the same arithmetic.
     a0, b0, c0, c_a = (np.array(v) for v in (a, b, c, c - a))
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        out = np.empty(x.shape)
-        dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
-        # Component by component into `out`, each still unwritten component
-        # serving as scratch; same products and sums as the formulas above.
-        np.multiply(x3, b0, dy)
-        np.multiply(x1, x2, dz)
-        np.subtract(dz, dy, dz)
-        np.multiply(x1, x3, dx)
-        np.multiply(x1, c_a, dy)
-        np.subtract(dy, dx, dy)
-        np.multiply(x2, c0, dx)
-        np.add(dy, dx, dy)
-        np.subtract(x2, x1, dx)
-        np.multiply(dx, a0, dx)
-        return out
+    multiply, add, subtract = np.multiply, np.add, np.subtract
 
-    def jacobian(x: np.ndarray, t: float) -> np.ndarray:
+    def bind(x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        dx, dy, dz = out[:, 0], out[:, 1], out[:, 2]
+
+        def field() -> None:
+            # Component by component into `out`, each still unwritten
+            # component serving as scratch; same products and sums as the
+            # formulas above.
+            multiply(x3, b0, dy)
+            multiply(x1, x2, dz)
+            subtract(dz, dy, dz)
+            multiply(x1, x3, dx)
+            multiply(x1, c_a, dy)
+            subtract(dy, dx, dy)
+            multiply(x2, c0, dx)
+            add(dy, dx, dy)
+            subtract(x2, x1, dx)
+            multiply(dx, a0, dx)
+
+        return field
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         x1, x2, x3 = x
         return np.array(
@@ -127,7 +129,7 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
             ]
         )
 
-    return NodeDynamics(3, field, jacobian, CHEN_LIPSCHITZ, "chen")
+    return NodeDynamics(3, bind, jacobian, CHEN_LIPSCHITZ)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,9 @@ class NetworkSystem:
             raise ContractViolationError("gamma must be a length-n 0/1 vector")
         if self.target.shape != (n,):
             raise ContractViolationError(f"target must have shape ({n},)")
-        resid = float(np.linalg.norm(self.dynamics.field(self.target, 0.0)))
+        f_s = np.empty((1, n))
+        self.dynamics.bind(np.ascontiguousarray(self.target[None]), f_s)()
+        resid = float(np.linalg.norm(f_s[0]))
         if resid > 1e-3:
             raise ContractViolationError(
                 f"target is not an equilibrium of the node field (|f(s)|={resid:.3g})"
@@ -172,13 +176,13 @@ class SimulationResult:
 
 
 def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
-         out: np.ndarray) -> Callable[[float], np.ndarray]:
-    """rhs(t): f(x_i, t) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)
+         out: np.ndarray) -> Callable[[], np.ndarray]:
+    """rhs(): f(x_i) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)
     for every node row i of the (B, N, n) batch X into `out`, member b under plans[b].
 
     X and `out` are C-contiguous (B, N, n) arrays that rhs reads and writes
-    in place on every call; the views into them are made here, once. The
-    field sees X as one (B*N, n) array, and its result is copied into `out`.
+    in place on every call; the views into them, and the field's binding to
+    X and `out` as (B*N, n) row arrays, are made here, once.
     Coupling and feedback touch only the coupled columns j (gamma_j = 1):
     out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the operations of
     f + c (A X) Gamma - c eps Gamma (X - s) in the same order, less the exact
@@ -197,9 +201,10 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     coupled = np.flatnonzero(c)
     ranges = [slice(None)] if len(coupled) == B else [slice(b * N, (b + 1) * N) for b in coupled]
     c = np.repeat(c, N)
-    A, field = sys.coupling, sys.dynamics.field
+    A = sys.coupling
     AX, scratch = np.empty((B, N, n)), np.empty(B * N)
     rows, out_rows, AX_rows = X.reshape(-1, n), out.reshape(-1, n), AX.reshape(-1, n)
+    field = sys.dynamics.bind(rows, out_rows)
     # Per coupled column j and row range r: the views into out, A X, X, c,
     # c * eps and the scratch, and s_j as a 0-d array.
     terms = [(out_rows[r, j], AX_rows[r, j], rows[r, j], np.array(sys.target[j]),
@@ -207,8 +212,8 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
              for j in np.flatnonzero(sys.gamma) for r in ranges]
     multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
-    def rhs(t: float) -> np.ndarray:
-        out_rows[...] = field(rows, t)
+    def rhs() -> np.ndarray:
+        field()
         matmul(A, X, AX)
         for col, AX_col, x_col, s_j, c_r, c_eps_r, tmp in terms:
             multiply(c_r, AX_col, tmp)
@@ -234,7 +239,8 @@ def integrate_batch(
 
     Member b runs plans[b] from X0[b] (X0 is (B, N, n)), bit for bit as its
     solo run, and must pass the guard h * (L_f + c * (|lambda_min(A)| + max
-    gain)) <= 2.5. Returns per member a SimulationResult recorded every
+    gain)) <= 2.5. T must be a whole number of record intervals h *
+    record_every. Returns per member a SimulationResult recorded every
     `record_every` steps (per-node states only if `record_states`), or, for a
     member gone non-finite, its DivergenceError; the others run on.
     """
@@ -244,6 +250,12 @@ def integrate_batch(
         raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
     if record_every < 1:
         raise ContractViolationError("record_every must be >= 1")
+    steps = int(round(T / h))
+    if not (math.isclose(steps * h, T, rel_tol=1e-9) and steps % record_every == 0):
+        raise ContractViolationError(
+            f"horizon T={T!r} is not a whole number of record intervals of "
+            f"h={h!r} * record_every={record_every}"
+        )
     shape = (len(plans), sys.n_nodes, sys.dynamics.dimension)
     X = np.array(X0, dtype=float, order="C")
     if X.shape != shape:
@@ -265,7 +277,6 @@ def integrate_batch(
                 f"{RK4_STABILITY_SPAN:g}/{stiffness:g} = {RK4_STABILITY_SPAN / stiffness:.3g}"
             )
 
-    steps = int(round(T / h))
     times = np.empty(steps // record_every + 1)
     states = np.empty(times.shape + shape) if record_states else None
     errors = np.empty(times.shape + shape[:1])
@@ -293,21 +304,20 @@ def integrate_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
-                t = (step - 1) * h
-                rhs_X(t)
+                rhs_X()
                 multiply(ksum, half_h, stage)
                 add(stage, X, stage)
-                rhs_stage(t + 0.5 * h)
+                rhs_stage()
                 multiply(k, half_h, stage)
                 add(stage, X, stage)
                 multiply(k, two, k)
                 add(ksum, k, ksum)
-                rhs_stage(t + 0.5 * h)
+                rhs_stage()
                 multiply(k, full_h, stage)
                 add(stage, X, stage)
                 multiply(k, two, k)
                 add(ksum, k, ksum)
-                rhs_stage(t + h)
+                rhs_stage()
                 add(ksum, k, ksum)
                 multiply(ksum, sixth_h, ksum)
                 add(X, ksum, X)
@@ -371,7 +381,7 @@ def mode_threshold(sys: NetworkSystem) -> float:
     """
     if sys.dynamics.dimension != 3:
         raise ContractViolationError("mode threshold implemented for 3-dimensional nodes")
-    jac = sys.dynamics.jacobian(sys.target, 0.0)
+    jac = sys.dynamics.jacobian(sys.target)
     # Entries as polynomials in sigma, highest power first; np.convolve
     # multiplies two such coefficient arrays.
     m = [[np.array([sys.gamma[i], jac[i, i]]) if i == j else jac[i, j:j + 1] for j in range(3)]

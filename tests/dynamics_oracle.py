@@ -4,6 +4,7 @@ The package integrates through one entry point, ``integrate_batch``, whose
 right-hand side ``dynamics._rhs`` is bound to its buffers. The helpers here
 are what the tests compare it against or drive it with:
 
+- ``field_at``: the node field at one state or at each row of a batch;
 - ``linear_field``: the linear node field dx = F x, whose exact solutions
   and modes the tests know;
 - ``network_rhs``: one evaluation of the network's right-hand side at a
@@ -28,6 +29,15 @@ from pinnet.pinning import PinningPlan
 from pinnet.spectral import eig_symmetric
 
 
+def field_at(dynamics: NodeDynamics, x: np.ndarray) -> np.ndarray:
+    """f at an (n,) state, or at each row of an (M, n) batch, through a fresh binding."""
+    x = np.asarray(x, dtype=float)
+    rows = np.ascontiguousarray(x.reshape(-1, dynamics.dimension))
+    out = np.empty(rows.shape)
+    dynamics.bind(rows, out)()
+    return out.reshape(x.shape)
+
+
 def linear_field(F: np.ndarray) -> NodeDynamics:
     """Linear test system dx = F x with constant Jacobian F."""
     F = np.asarray(F, dtype=float)
@@ -36,24 +46,27 @@ def linear_field(F: np.ndarray) -> NodeDynamics:
     n = F.shape[0]
     spectral_norm = math.sqrt(max(eig_symmetric(F.T @ F).lambda_max, 0.0))
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ F.T
+    def bind(x: np.ndarray, out: np.ndarray):
+        def field():
+            np.matmul(x, F.T, out)
 
-    def jacobian(x: np.ndarray, t: float) -> np.ndarray:
+        return field
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
         return F.copy()
 
-    return NodeDynamics(n, field, jacobian, spectral_norm, "linear")
+    return NodeDynamics(n, bind, jacobian, spectral_norm)
 
 
-def network_rhs(sys: NetworkSystem, plan: PinningPlan, X: np.ndarray, t: float) -> np.ndarray:
-    """Row i: f(x_i, t) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s) under `plan`."""
+def network_rhs(sys: NetworkSystem, plan: PinningPlan, X: np.ndarray) -> np.ndarray:
+    """Row i: f(x_i) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s) under `plan`."""
     X = np.asarray(X, dtype=float)
     if X.shape != (sys.n_nodes, sys.dynamics.dimension):
         raise ContractViolationError(
             f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
         )
     X = np.ascontiguousarray(X[None])
-    return _rhs(sys, [plan], X, np.empty(X.shape))(t)[0]
+    return _rhs(sys, [plan], X, np.empty(X.shape))()[0]
 
 
 def sync_error(states: np.ndarray, target: np.ndarray) -> float:
@@ -85,7 +98,7 @@ def integrate_one(
 
 def mode_matrix(sys: NetworkSystem, plan: PinningPlan, lambda_i: float) -> np.ndarray:
     """Mode system matrix Df(s) + c * lambda_i * Gamma, with c of `plan`."""
-    jac = sys.dynamics.jacobian(sys.target, 0.0)
+    jac = sys.dynamics.jacobian(sys.target)
     return jac + plan.coupling_strength * lambda_i * np.diag(sys.gamma)
 
 
@@ -169,7 +182,7 @@ def quad_condition_sample(
         if not np.any(keep):
             continue
         x, y, d, norms2 = x[keep], y[keep], d[keep], norms2[keep]
-        rhs = dynamics.field(x, 0.0) - dynamics.field(y, 0.0) - c * margin * (d * gamma)
+        rhs = field_at(dynamics, x) - field_at(dynamics, y) - c * margin * (d * gamma)
         q = np.sum(d * (rhs * p_diag), axis=1) / norms2
         worst = max(worst, float(np.max(q)))
         remaining -= len(q)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from conftest import random_connected_graph
 from dynamics_oracle import (
+    field_at,
     integrate_one,
     linear_field,
     modal_equivalence_check,
@@ -199,9 +200,9 @@ def test_09_chen_equilibrium():
     _start(9)
     p = ChenParameters()
     dyn = chen_field(p)
-    printed = float(np.linalg.norm(dyn.field(np.array([7.9373, 7.9373, 21.0]), 0.0)))
-    exact = float(np.linalg.norm(dyn.field(np.array([math.sqrt(63.0)] * 2 + [21.0]), 0.0)))
-    abscissa = spectral_abscissa_3(dyn.jacobian(p.equilibrium(), 0.0))
+    printed = float(np.linalg.norm(field_at(dyn, np.array([7.9373, 7.9373, 21.0]))))
+    exact = float(np.linalg.norm(field_at(dyn, np.array([math.sqrt(63.0)] * 2 + [21.0]))))
+    abscissa = spectral_abscissa_3(dyn.jacobian(p.equilibrium()))
     ok = printed < 1e-3 and exact < 1e-12 and abscissa > 0.0
     _report(9, f"|f(printed s)|={printed:.2e} < 1e-3, |f(exact s)|={exact:.2e} < 1e-12, "
             f"abscissa {abscissa:.3f} > 0", ok)

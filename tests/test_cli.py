@@ -56,6 +56,15 @@ def test_pin_then_controlled_spectrum(tmp_path, capsys):
     assert top < -1.0
 
 
+def test_spectrum_plan_size_mismatch_names_both_files(tmp_path, capsys):
+    edges, plan = tmp_path / "star.txt", tmp_path / "plan.json"
+    main(["topology", "star", "--n", "3", "--out", str(edges)])
+    plan.write_text(json.dumps({"n": 5, "c": 1.0, "pins": [{"node": 4, "gain": 2.0}]}))
+    assert main(["spectrum", "--edges", str(edges), "--plan", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert f"{plan}: plan on 5 nodes does not match {edges} on 3 nodes" in err
+
+
 def test_pin_explicit(tmp_path):
     edges = tmp_path / "star.txt"
     plan = tmp_path / "plan.json"
@@ -253,6 +262,16 @@ def test_non_finite_step_parameters_exit_2(flag, value, field, capsys):
     assert main(["simulate", "fig2b", f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert f"{field} must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("T", ["0.00126", "0.0035"])
+def test_horizon_off_the_record_grid_exits_2(T, tmp_path, capsys):
+    # fig7 steps h = 5e-4 and records every 5th step: 0.00126 is no whole
+    # number of steps, 0.0035 is 7 steps, not a whole number of records.
+    assert main(["simulate", "fig7", "--T", T, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"T={T}" in err and "h=0.0005" in err and "record_every=5" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_negative_seed_exits_2(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from dynamics_oracle import (
+    field_at,
     integrate_one,
     linear_field,
     modal_equivalence_check,
@@ -62,47 +63,64 @@ def chen_star_system(n=9):
 class TestChenField:
     def test_printed_equilibrium_is_near_fixed_point(self):
         dyn = chen_field()
-        f = dyn.field(np.array([7.9373, 7.9373, 21.0]), 0.0)
+        f = field_at(dyn, np.array([7.9373, 7.9373, 21.0]))
         assert np.linalg.norm(f) < 1e-3
 
     def test_exact_equilibrium(self):
         p = ChenParameters()
         s = p.equilibrium()
         assert np.allclose(s, [math.sqrt(63.0), math.sqrt(63.0), 21.0], rtol=0, atol=0)
-        assert np.linalg.norm(chen_field(p).field(s, 0.0)) < 1e-12
+        assert np.linalg.norm(field_at(chen_field(p), s)) < 1e-12
 
     def test_origin_is_equilibrium(self):
-        assert np.array_equal(chen_field().field(np.zeros(3), 0.0), np.zeros(3))
+        assert np.array_equal(field_at(chen_field(), np.zeros(3)), np.zeros(3))
 
     def test_negative_equilibrium(self):
         p = ChenParameters()
-        s = p.equilibrium(sign=-1)
-        assert np.linalg.norm(chen_field(p).field(s, 0.0)) < 1e-12
+        r = math.sqrt(p.b * (2.0 * p.c - p.a))
+        s = np.array([-r, -r, 2.0 * p.c - p.a])
+        assert np.linalg.norm(field_at(chen_field(p), s)) < 1e-12
 
     def test_jacobian_matches_finite_differences(self, rng):
         dyn = chen_field()
         for _ in range(10):
             x = rng.uniform(-20, 30, 3)
-            jac = dyn.jacobian(x, 0.0)
+            jac = dyn.jacobian(x)
             fd = np.empty((3, 3))
             eps = 1e-6
             for j in range(3):
                 dx = np.zeros(3)
                 dx[j] = eps
-                fd[:, j] = (dyn.field(x + dx, 0.0) - dyn.field(x - dx, 0.0)) / (2 * eps)
+                fd[:, j] = (field_at(dyn, x + dx) - field_at(dyn, x - dx)) / (2 * eps)
             tol = max(1e-5, 1e-4 * np.max(np.abs(jac)))
             assert np.max(np.abs(jac - fd)) < tol
 
     def test_batch_evaluation(self, rng):
         dyn = chen_field()
         X = rng.uniform(-5, 5, (7, 3))
-        batch = dyn.field(X, 0.0)
+        batch = field_at(dyn, X)
         for i in range(7):
-            assert np.allclose(batch[i], dyn.field(X[i], 0.0), rtol=0, atol=0)
+            assert np.allclose(batch[i], field_at(dyn, X[i]), rtol=0, atol=0)
 
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
             ChenParameters(a=60.0, b=3.0, c=28.0)
+
+
+@pytest.mark.parametrize("dyn", [chen_field(), linear_field(np.arange(9.0).reshape(3, 3) - 4.0)],
+                         ids=["chen", "linear"])
+def test_bound_kernel_reads_the_state_at_call_time(dyn, rng):
+    # The integrator binds the field to its buffers once and rewrites the
+    # state in place between calls: each call must see the values of that
+    # moment, as a fresh binding does.
+    x, out = rng.uniform(-5, 5, (7, 3)), np.empty((7, 3))
+    kernel = dyn.bind(x, out)
+    kernel()
+    before = out.copy()
+    x[...] = rng.uniform(-5, 5, (7, 3))
+    kernel()
+    assert np.array_equal(out, field_at(dyn, x))
+    assert not np.array_equal(out, before)
 
 
 class TestLinearField:
@@ -110,8 +128,8 @@ class TestLinearField:
         F = rng.uniform(-2, 2, (4, 4))
         dyn = linear_field(F)
         x = rng.uniform(-1, 1, 4)
-        assert np.allclose(dyn.field(x, 0.0), F @ x, atol=1e-14)
-        assert np.array_equal(dyn.jacobian(x, 0.0), F)
+        assert np.allclose(field_at(dyn, x), F @ x, atol=1e-14)
+        assert np.array_equal(dyn.jacobian(x), F)
 
     def test_lipschitz_is_spectral_norm(self, rng):
         F = rng.uniform(-2, 2, (3, 3))
@@ -123,14 +141,14 @@ class TestNetworkRhs:
     def test_vanishes_on_synchronization_manifold(self):
         sys = chen_star_system()
         X = np.tile(sys.target, (9, 1))
-        rhs = network_rhs(sys, LEAF_PLAN, X, 0.0)
+        rhs = network_rhs(sys, LEAF_PLAN, X)
         assert np.max(np.abs(rhs)) < 1e-10
 
     def test_single_uncoupled_node_reduces_to_field(self, rng):
         dyn = chen_field()
         sys = single_node_system(dyn, ChenParameters().equilibrium())
         x = rng.uniform(-5, 5, (1, 3))
-        assert np.allclose(network_rhs(sys, zero_plan(1), x, 0.0), dyn.field(x, 0.0), atol=0)
+        assert np.allclose(network_rhs(sys, zero_plan(1), x), field_at(dyn, x), atol=0)
 
     def test_matches_kronecker_operator_for_linear_nodes(self, rng):
         # error dynamics of a linear node field against the block operator
@@ -146,12 +164,12 @@ class TestNetworkRhs:
         G = np.diag(plan.gain_array())
         block = np.kron(np.eye(n), F) + 0.8 * np.kron(A - G, np.diag(gamma))
         expected = (block @ X.reshape(-1)).reshape(n, nn)
-        assert np.allclose(network_rhs(sys, plan, X, 0.0), expected, atol=1e-12)
+        assert np.allclose(network_rhs(sys, plan, X), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         sys = chen_star_system()
         with pytest.raises(ContractViolationError):
-            network_rhs(sys, LEAF_PLAN, np.zeros((4, 3)), 0.0)
+            network_rhs(sys, LEAF_PLAN, np.zeros((4, 3)))
 
 
 class TestIntegrateRk4:
@@ -183,14 +201,17 @@ class TestIntegrateRk4:
             integrate_one(sys, plan, np.tile(sys.target, (9, 1)), 1e-2, 1.0)
 
     def test_divergence_error_carries_time(self):
-        def field(x, t):
-            with np.errstate(over="ignore"):
-                return np.asarray(x) ** 2
+        def bind(x, out):
+            def field():
+                with np.errstate(over="ignore"):
+                    np.multiply(x, x, out)
 
-        def jac(x, t):
+            return field
+
+        def jac(x):
             return np.diag(2 * np.asarray(x))
 
-        dyn = NodeDynamics(1, field, jac, 1.0, "quadratic")
+        dyn = NodeDynamics(1, bind, jac, 1.0)
         sys = single_node_system(dyn)
         with pytest.raises(DivergenceError) as exc:
             integrate_one(sys, zero_plan(1), np.array([[10.0]]), 0.01, 5.0)
@@ -272,13 +293,13 @@ class TestSyncMetrics:
 class TestModeMatrix:
     def test_lambda_zero_gives_jacobian(self):
         sys = chen_star_system()
-        jac = sys.dynamics.jacobian(sys.target, 0.0)
+        jac = sys.dynamics.jacobian(sys.target)
         assert np.array_equal(mode_matrix(sys, LEAF_PLAN, 0.0), jac)
 
     def test_chen_entry_shift(self):
         sys = chen_star_system()
         m = mode_matrix(sys, LEAF_PLAN, -10.0)  # c=10, so c*lambda = -100 lands on entry (1,1)
-        jac = sys.dynamics.jacobian(sys.target, 0.0)
+        jac = sys.dynamics.jacobian(sys.target)
         assert m[1, 1] == jac[1, 1] - 100.0
         m_zeroed = m.copy()
         m_zeroed[1, 1] = jac[1, 1]
@@ -298,7 +319,7 @@ class TestSpectralAbscissa3:
 
     def test_chen_equilibrium_unstable(self):
         p = ChenParameters()
-        jac = chen_field(p).jacobian(p.equilibrium(), 0.0)
+        jac = chen_field(p).jacobian(p.equilibrium())
         assert spectral_abscissa_3(jac) > 0.0
 
     def test_companion_of_known_cubic(self):
@@ -391,7 +412,7 @@ class TestModeThreshold:
     def test_threshold_separates_stability(self):
         sys = chen_star_system()
         sigma = mode_threshold(sys)
-        jac = sys.dynamics.jacobian(sys.target, 0.0)
+        jac = sys.dynamics.jacobian(sys.target)
         for below in (sigma - 1e-6, sigma - 1e-3):
             assert spectral_abscissa_3(jac + below * np.diag(GAMMA)) < 0.0
             assert np.max(np.linalg.eigvals(jac + below * np.diag(GAMMA)).real) < 0.0

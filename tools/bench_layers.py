@@ -4,10 +4,11 @@
         --rounds 3 --out BENCH_<pr>.json
 
 Each `--src LABEL=DIR` names a source tree holding the `pinnet` package, one
-whose `NetworkSystem` holds no plan and whose `harness.build_system` takes a
-graph; one `--src` measures a single tree. Every measurement runs in a fresh
-Python process that imports pinnet from DIR, and the rounds alternate which
-tree goes first, so both trees see the same host conditions. Measured per tree:
+whose `NetworkSystem` holds no plan, whose `harness.build_system` takes a
+graph and whose RHS kernel takes no argument; one `--src` measures a single
+tree. Every measurement runs in a fresh Python process that imports pinnet
+from DIR, and the rounds alternate which tree goes first, so both trees see
+the same host conditions. Measured per tree:
 
 - `rk4_step_us`: one RK4 step of `integrate_batch` on fig8b's 20-node
   scale-free system with B copies of its plan (B = 1, 2, 3, 5, 12),
@@ -82,7 +83,7 @@ def measure() -> dict:
 
     def calls():
         for _ in range(STEPS):
-            rhs(0.0)
+            rhs()
 
     calls()
     rhs_us = 1e6 * _median_time(calls) / STEPS
