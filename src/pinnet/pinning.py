@@ -134,7 +134,7 @@ def controlled_coupling(A: np.ndarray, plan: PinningPlan) -> np.ndarray:
             f"matrix shape {A.shape} does not match plan on {plan.n_nodes} nodes"
         )
     out = A.copy()
-    out[np.diag_indices_from(out)] -= plan.gain_array()
+    out.flat[:: plan.n_nodes + 1] -= plan.gain_array()
     return out
 
 

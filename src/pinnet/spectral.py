@@ -1,6 +1,6 @@
 """Symmetric eigen-analysis of coupling matrices and analytic gain bounds.
 
-Eigenpairs come from LAPACK's symmetric solver (``np.linalg.eigh``). The
+Spectra are eigenvalues only, from LAPACK's ``np.linalg.eigvalsh``. The
 questions that need only a yes/no answer, "does every eigenvalue lie below
 -margin?", are answered by a Cholesky factorisation instead, which succeeds
 exactly when the matrix tested is positive definite (Sylvester's law of
@@ -13,17 +13,14 @@ complement, confirmed by the definiteness test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import (
-    BoundaryCaseError,
-    BoundUndefinedError,
-    ContractViolationError,
-    NumericalFailureError,
-)
+from .errors import (BoundaryCaseError, BoundUndefinedError, ContractViolationError,
+                     NumericalFailureError)
 from .pinning import PinningPlan, controlled_coupling
 
 __all__ = [
@@ -48,10 +45,9 @@ _PIVOT_GAP = 1e-9
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues sorted descending, eigenvector columns in matching order."""
+    """Eigenvalues sorted descending."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     @property
     def lambda_max(self) -> float:
@@ -88,7 +84,7 @@ def _below(M: np.ndarray, level: float) -> bool:
     as not below it.
     """
     shifted = -M
-    shifted[np.diag_indices_from(shifted)] -= level + _DEFINITE_SLACK * (1.0 + np.linalg.norm(M))
+    shifted.flat[:: M.shape[0] + 1] -= level + _DEFINITE_SLACK * (1.0 + np.linalg.norm(M))
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -97,7 +93,7 @@ def _below(M: np.ndarray, level: float) -> bool:
 
 
 def eig_symmetric(M: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric real matrix (LAPACK, via eigh).
+    """Eigenvalues of a symmetric real matrix (LAPACK, via eigvalsh).
 
     Raises ContractViolationError on input that is non-square, empty,
     non-finite or asymmetric beyond 1e-12 * max(1, ||M||_F), and
@@ -105,10 +101,10 @@ def eig_symmetric(M: np.ndarray) -> EigenDecomposition:
     """
     M = _symmetric(M)
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(M)
+        eigenvalues = np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues[::-1], eigenvectors[:, ::-1])
+    return EigenDecomposition(eigenvalues[::-1])
 
 
 def controlled_spectrum(A: np.ndarray, plan: PinningPlan) -> EigenDecomposition:
@@ -146,57 +142,61 @@ def cluster_leaf_gain_bound(n1: int, margin: float) -> float:
     return max(margin - 1.0, margin * (n1 + 1.0 - margin) / (n1 - margin))
 
 
-def _split_blocks(A: np.ndarray, pinned: Iterable[int]):
-    """Permute to (unpinned block first, pinned block second)."""
+def _split_blocks(A: np.ndarray, pinned: Iterable[int]) -> tuple[np.ndarray, int]:
+    """A with unpinned nodes first, then pinned, each ascending, and the unpinned count.
+
+    Refuses pins that are not integers (bools included), lie outside 0..n-1
+    or repeat, and a pinned set that is empty or holds every node.
+    """
     n = A.shape[0]
-    pinned = sorted(set(int(i) for i in pinned))
-    if not pinned:
-        raise ContractViolationError("pinned set must be nonempty")
-    if len(pinned) >= n:
-        raise ContractViolationError("pinned set must be a proper subset")
-    if pinned[0] < 0 or pinned[-1] >= n:
-        raise ContractViolationError(f"pinned indices outside 0..{n - 1}")
-    unpinned = [i for i in range(n) if i not in set(pinned)]
-    return unpinned, pinned
+    pinned = list(pinned)
+    for i in pinned:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ContractViolationError(f"pinned index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise ContractViolationError(f"pinned index {i} outside 0..{n - 1}")
+    mask = np.zeros(n, dtype=bool)
+    mask[pinned] = True
+    u = n - np.count_nonzero(mask)
+    if not 0 < len(pinned) == n - u < n:
+        raise ContractViolationError("pinned nodes must be distinct, nonempty and a proper subset")
+    order = np.argsort(mask, kind="stable")  # unpinned (False) first, each group ascending
+    return A.take(order, 0).take(order, 1), u
 
 
-def schur_feasible(
-    A_full: np.ndarray, pinned: Iterable[int], gains, alpha: float
-) -> bool:
+def _positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ContractViolationError(f"{name} must be finite and positive, got {value!r}")
+
+
+def schur_feasible(A_full: np.ndarray, pinned: Iterable[int], gains, alpha: float) -> bool:
     """Block test for the controlled spectrum sitting below -alpha.
 
     With nodes permuted so the unpinned block A1 comes first, the controlled
     matrix is below -alpha*I exactly when A1 + alpha*I is negative definite
     and so is the Schur complement
     A2 + D - A12^T (A1 + alpha*I)^{-1} A12 + alpha*I,
-    where D carries the pinned gains. If any eigenvalue of A1 sits within
-    1e-9 of -alpha the pivot is singular and the outcome indeterminate.
+    where D carries gains[i] on node pinned[i]. If any eigenvalue of A1 sits
+    within 1e-9 of -alpha the pivot is singular and the outcome indeterminate.
     """
-    A_full = _symmetric(A_full)
-    if not alpha > 0:
-        raise ContractViolationError("alpha must be positive")
-    unpinned, pinned_list = _split_blocks(A_full, pinned)
+    _positive("alpha", alpha)
+    pinned = list(pinned)
+    P, u = _split_blocks(_symmetric(A_full), pinned)
+    n = P.shape[0]
     gains = np.asarray(gains, dtype=float)
-    if gains.shape != (len(pinned_list),):
-        raise ContractViolationError(
-            f"expected {len(pinned_list)} gains, got shape {gains.shape}"
-        )
+    if gains.shape != (n - u,):
+        raise ContractViolationError(f"expected {n - u} gains, got shape {gains.shape}")
     if not np.all(np.isfinite(gains)):
         raise ContractViolationError("gains must be finite")
-    a1 = A_full[np.ix_(unpinned, unpinned)]
-    a12 = A_full[np.ix_(unpinned, pinned_list)]
-    a2 = A_full[np.ix_(pinned_list, pinned_list)]
-
+    a1, a12, a2 = P[:u, :u], P[:u, u:], P[u:, u:]
     if not _below(a1, alpha):
         return False  # first block condition fails; no inverse needed
     if not _below(a1, alpha + _PIVOT_GAP):
-        raise BoundaryCaseError(
-            "pivot block is nearly singular at -alpha; feasibility indeterminate"
-        )
-    pivot = a1 + alpha * np.eye(len(unpinned))
-    complement = (
-        a2 - np.diag(gains) - a12.T @ np.linalg.solve(pivot, a12) + alpha * np.eye(len(pinned_list))
-    )
+        raise BoundaryCaseError("pivot block nearly singular at -alpha; feasibility indeterminate")
+    P.flat[: u * (n + 1) : n + 1] += alpha  # a1 becomes the pivot a1 + alpha I
+    P.flat[u * (n + 1) :: n + 1] -= gains[np.argsort(pinned)]  # a2 becomes a2 - D
+    complement = a2 - a12.T @ np.linalg.solve(a1, a12)
+    complement.flat[:: n - u + 1] += alpha
     complement = 0.5 * (complement + complement.T)  # scrub roundoff asymmetry
     return _below(complement, 0.0)
 
@@ -218,36 +218,36 @@ def min_uniform_gain(
     unit roundoff of ||A~||_F moves it by that times 1 + ||z||^2,
     z = M_UU^{-1} M_UP w for the eigenvector w of lambda_min(S).
     """
-    if not tol > 0:
-        raise ContractViolationError("tol must be positive")
-    if not margin > 0:
-        raise ContractViolationError("margin must be positive")
-    A = _symmetric(A)
-    unpinned, pinned_list = _split_blocks(A, pinned)
+    _positive("tol", tol)
+    _positive("margin", margin)
+    A, u = _split_blocks(_symmetric(A), pinned)
+    n = A.shape[0]
 
     def controlled(eps: float) -> np.ndarray:
         a_ctrl = A.copy()
-        a_ctrl[pinned_list, pinned_list] -= eps
+        a_ctrl.flat[u * (n + 1) :: n + 1] -= eps
         return a_ctrl
 
-    def schur_gain(slack_of: np.ndarray) -> tuple[float, float]:
+    def schur_complement(slack_of: np.ndarray):
+        """Cholesky factor L of M_UU, L^{-1} M_UP and S, the level's slack from slack_of."""
         M = -A
-        M[np.diag_indices_from(M)] -= margin + _DEFINITE_SLACK * (1.0 + np.linalg.norm(slack_of))
-        chol = np.linalg.cholesky(M[np.ix_(unpinned, unpinned)])
-        y = np.linalg.solve(chol, M[np.ix_(unpinned, pinned_list)])
-        lam, w = np.linalg.eigh(M[np.ix_(pinned_list, pinned_list)] - y.T @ y)
-        z = np.linalg.solve(chol.T, y @ w[:, 0])
-        return max(0.0, -float(lam[0])), 1.0 + float(z @ z)
+        M.flat[:: n + 1] -= margin + _DEFINITE_SLACK * (1.0 + np.linalg.norm(slack_of))
+        chol = np.linalg.cholesky(M[:u, :u])
+        y = np.linalg.solve(chol, M[:u, u:])
+        return chol, y, M[u:, u:] - y.T @ y
 
     try:
-        eps, _ = schur_gain(A[np.ix_(unpinned, unpinned)])
+        eps = max(0.0, -float(np.linalg.eigvalsh(schur_complement(A[:u, :u])[2])[0]))
     except np.linalg.LinAlgError:
         return None
     try:
-        eps, amplification = schur_gain(controlled(eps))
+        chol, y, S = schur_complement(controlled(eps))
+        lam, w = np.linalg.eigh(S)
+        z = np.linalg.solve(chol.T, y @ w[:, 0])
     except np.linalg.LinAlgError:
         raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
-    err = np.finfo(float).eps * np.linalg.norm(controlled(eps)) * amplification
+    eps = max(0.0, -float(lam[0]))
+    err = float(np.finfo(float).eps * np.linalg.norm(controlled(eps)) * (1.0 + z @ z))
     if err <= tol:
         for gain in (eps, eps + err):
             if _below(controlled(gain), margin):

@@ -119,8 +119,7 @@ def modal_equivalence_check(
     all recorded times. Exact modal decoupling means this is pure roundoff.
     """
     e0 = np.asarray(e0, dtype=float)
-    dec = eig_symmetric(A_tilde)
-    U, lam = dec.eigenvectors, dec.eigenvalues
+    lam, U = np.linalg.eigh(A_tilde)
     dyn, zero = linear_field(F), np.zeros(e0.shape[1])
     plan = PinningPlan(len(lam), (0.0,) * len(lam), c)
     full = integrate_one(NetworkSystem(dyn, A_tilde, gamma, zero), plan, e0, h, T)

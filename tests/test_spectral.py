@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -41,8 +42,6 @@ class TestEigSymmetric:
     def test_diagonal_matrix(self):
         dec = eig_symmetric(np.diag([3.0, 1.0, 2.0]))
         assert np.array_equal(dec.eigenvalues, [3.0, 2.0, 1.0])
-        # eigenvectors form a permutation of the identity
-        assert np.array_equal(np.abs(dec.eigenvectors), np.eye(3)[:, [0, 2, 1]])
 
     def test_star_9(self):
         dec = eig_symmetric(coupling_matrix(star(9)))
@@ -72,7 +71,7 @@ class TestEigSymmetric:
         def fail(M):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericalFailureError):
             eig_symmetric(np.eye(2))
 
@@ -84,9 +83,9 @@ class TestEigSymmetric:
         dec = eig_symmetric(np.zeros((4, 4)))
         assert np.array_equal(dec.eigenvalues, np.zeros(4))
 
-    def test_residual_orthogonality_and_oracle_1000(self):
-        # Residual and orthogonality invariants on 1000 random symmetric
-        # matrices, cross-checked against the cyclic Jacobi oracle.
+    def test_descending_order_and_oracle_1000(self):
+        # Descending order on 1000 random symmetric matrices, cross-checked
+        # against the cyclic Jacobi oracle.
         rng = np.random.Generator(np.random.PCG64(7))
         for _ in range(1000):
             n = int(rng.integers(2, 31))
@@ -94,12 +93,6 @@ class TestEigSymmetric:
             M = 0.5 * (M + M.T)
             dec = eig_symmetric(M)
             fro = np.linalg.norm(M)
-            resid = np.max(
-                np.linalg.norm(M @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues, axis=0)
-            )
-            assert resid <= 1e-9 * max(1.0, fro)
-            orth = np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(n)))
-            assert orth <= 1e-9
             assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
             oracle = jacobi_eig(M).eigenvalues
             assert np.max(np.abs(dec.eigenvalues - oracle)) <= 1e-9 * max(1.0, fro)
@@ -423,6 +416,81 @@ class TestDefinitenessOracle:
         assert schur_feasible(A, [0], [300.0], 1.0) is False
         with pytest.raises(BoundaryCaseError):
             schur_feasible(A, range(1, 9), [50.0] * 8, 8.0 - 1e-10)
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize(
+        "pin", [1.5, 1.9, 2.0, np.float64(1.0), True, np.bool_(True), "1"], ids=repr
+    )
+    def test_non_integral_pin_refused(self, pin):
+        A = coupling_matrix(star(9))
+        with pytest.raises(ContractViolationError, match=re.escape(repr(pin))):
+            schur_feasible(A, [pin], [3.0], 0.5)
+        with pytest.raises(ContractViolationError, match=re.escape(repr(pin))):
+            min_uniform_gain(A, [pin, 3], 0.5, 1e-6)
+
+    def test_duplicate_pin_refused(self):
+        A = coupling_matrix(star(9))
+        with pytest.raises(ContractViolationError, match="distinct"):
+            min_uniform_gain(A, [1, 2, 1], 0.5, 1e-6)
+        with pytest.raises(ContractViolationError, match="distinct"):
+            schur_feasible(A, [1, 1], [3.0, 3.0], 0.5)
+
+    def test_infinite_alpha_refused(self):
+        with pytest.raises(ContractViolationError, match="alpha must be finite"):
+            schur_feasible(coupling_matrix(star(9)), range(1, 9), [1.5] * 8, np.inf)
+
+    def test_infinite_margin_refused(self):
+        with pytest.raises(ContractViolationError, match="margin must be finite"):
+            min_uniform_gain(coupling_matrix(star(9)), [0], np.inf, 1e-6)
+
+    def test_infinite_tol_refused(self):
+        with pytest.raises(ContractViolationError, match="tol must be finite"):
+            min_uniform_gain(coupling_matrix(star(9)), range(1, 9), 1.0, np.inf)
+
+    def test_gain_is_a_python_float(self):
+        # Several of these gains are confirmed only one roundoff step up, at eps + err.
+        for seed in range(20):
+            _, A, pinned = _pinned_instance(seed, 2 + seed % 8)
+            try:
+                gain = min_uniform_gain(A, pinned, 0.5, 1e-6)
+            except BoundaryCaseError:
+                continue
+            assert gain is None or type(gain) is float
+
+    def test_gains_follow_the_pinned_order(self):
+        # Path 0-1-2: node 1 gets gain 50 and node 0 gain 0.1, listed in that
+        # order; lambda_1 is -0.977 so, and -0.404 with the gains swapped.
+        A = coupling_matrix(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        assert eig_symmetric(A - np.diag([0.1, 50.0, 0.0])).lambda_max < -0.5
+        assert schur_feasible(A, [1, 0], [50.0, 0.1], 0.5) is True
+        assert schur_feasible(A, [0, 1], [0.1, 50.0], 0.5) is True
+        assert schur_feasible(A, [0, 1], [50.0, 0.1], 0.5) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 9),
+        margin=st.floats(0.05, 2.0),
+    )
+    def test_relabelling_keeps_decisions(self, seed, n, margin):
+        # Node i of A is node perm[i] of B; the pins and their gains move with it.
+        rng, A, pinned = _pinned_instance(seed, n)
+        perm = rng.permutation(n)
+        B = np.empty_like(A)
+        B[np.ix_(perm, perm)] = A
+        moved = [int(perm[i]) for i in pinned]
+        gains = rng.uniform(0.1, 20.0, len(pinned))
+        tol = 1e-6
+        try:
+            feasible = schur_feasible(A, pinned, gains, margin), schur_feasible(B, moved, gains, margin)
+            gain = min_uniform_gain(A, pinned, margin, tol), min_uniform_gain(B, moved, margin, tol)
+        except BoundaryCaseError:
+            return
+        assert feasible[0] == feasible[1]
+        assert (gain[0] is None) == (gain[1] is None)
+        if gain[0] is not None:
+            assert abs(gain[0] - gain[1]) <= tol
 
 
 class TestDiagBounds:

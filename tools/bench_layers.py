@@ -17,7 +17,13 @@ the same host conditions. Measured per tree:
 - `rhs_us`: one RHS call on fig2's pair (fig2a and fig2b as a batch of two
   on the 9-node star), the median of 5 repeats of 2000 calls;
 - `reproduce_all_s`: `pinnet reproduce <family> --out DIR` for the seven
-  families fig2 ... fig9 in one process, summary artifacts.
+  families fig2 ... fig9 in one process, summary artifacts;
+- `design_query_us`: one controller-design query of perfbench's `design_ba`,
+  built as there from seed 1: the eight queries pin the smallest-degree half
+  or the three hubs of scale-free graphs on 30, 39, 33 and 36 nodes (m0 = m =
+  3); each builds its graph, asks `min_uniform_gain` (margin 0.5, tol 1e-6)
+  and, for a gain, confirms it with `schur_feasible` and the `lambda_max` of
+  `controlled_spectrum`; the median of 5 passes over the eight, per query.
 
 Per tree the output holds every round's value and their median, and for two
 trees the ratio first / second of the medians. With `--out`, these go under
@@ -40,6 +46,7 @@ from pathlib import Path
 BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H, REPEATS = 2000, 5e-4, 5
+DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
 
 
 def _median_time(fn, repeats: int = REPEATS) -> float:
@@ -54,10 +61,12 @@ def _median_time(fn, repeats: int = REPEATS) -> float:
 def measure() -> dict:
     """Time the layers of the pinnet importable in this process."""
     import numpy as np
-    from pinnet import dynamics
+    from pinnet import dynamics, spectral
     from pinnet.cli import main
     from pinnet.harness import build_system, initial_state
+    from pinnet.pinning import plan_by_degree, plan_explicit
     from pinnet.scenarios import get_scenario
+    from pinnet.topology import barabasi_albert, coupling_matrix
 
     def network(names):
         """The system on the scenarios' shared graph and each scenario's plan."""
@@ -100,7 +109,28 @@ def measure() -> dict:
             if code != 0:
                 raise RuntimeError(f"pinnet reproduce {family} exited {code}")
         reproduce_s = time.perf_counter() - start
-    return {"rk4_step_us": step_us, "rhs_us": rhs_us, "reproduce_all_s": reproduce_s}
+
+    rng = np.random.Generator(np.random.PCG64(DESIGN_SEED))
+    queries = []
+    for n in DESIGN_SIZES:
+        graph_seed = int(rng.integers(0, 2**63))
+        queries += [(n, graph_seed, "smallest", n // 2), (n, graph_seed, "largest", 3)]
+
+    def design():
+        for n, graph_seed, strategy, count in queries:
+            g = barabasi_albert(n, 3, 3, graph_seed)
+            A = coupling_matrix(g)
+            pinned = plan_by_degree(g, strategy, count, 1.0, 1.0).pinned_nodes
+            gain = spectral.min_uniform_gain(A, pinned, MARGIN, TOL)
+            if gain is not None:
+                spectral.schur_feasible(A, pinned, [gain] * len(pinned), MARGIN)
+                plan = plan_explicit(n, {i: gain for i in pinned}, 1.0)
+                spectral.controlled_spectrum(A, plan).lambda_max
+
+    design()
+    design_us = 1e6 * _median_time(design) / len(queries)
+    return {"rk4_step_us": step_us, "rhs_us": rhs_us, "reproduce_all_s": reproduce_s,
+            "design_query_us": design_us}
 
 
 def _worker(src: str) -> dict:
@@ -149,6 +179,9 @@ def main(argv=None) -> int:
                       f"repeats of {STEPS} calls",
             "reproduce_all_s": "pinnet reproduce of " + ", ".join(FAMILIES)
                                + " in one process, summary artifacts",
+            "design_query_us": f"design_ba's eight seed-{DESIGN_SEED} queries (graph build, "
+                               f"min_uniform_gain, schur_feasible, controlled_spectrum's "
+                               f"lambda_max); median of {REPEATS} passes / 8",
             "rounds": f"{args.rounds} per tree, each in a fresh process, alternating which "
                       "tree goes first",
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -161,6 +194,7 @@ def main(argv=None) -> int:
             },
             "rhs_us": _summary([res["rhs_us"] for res in results]),
             "reproduce_all_s": _summary([res["reproduce_all_s"] for res in results]),
+            "design_query_us": _summary([res["design_query_us"] for res in results]),
         }
     if len(trees) == 2:
         (first, _), (second, _) = trees
@@ -173,6 +207,9 @@ def main(argv=None) -> int:
             "rhs_us": round(a["rhs_us"]["median"] / b["rhs_us"]["median"], 3),
             "reproduce_all_s": round(
                 a["reproduce_all_s"]["median"] / b["reproduce_all_s"]["median"], 3
+            ),
+            "design_query_us": round(
+                a["design_query_us"]["median"] / b["design_query_us"]["median"], 3
             ),
         }
 
