@@ -75,16 +75,16 @@ def _symmetric(M) -> np.ndarray:
     return M
 
 
-def _below(M: np.ndarray, level: float) -> bool:
+def _below(M: np.ndarray, level: float, norm: float) -> bool:
     """Whether every eigenvalue of the symmetric matrix M lies below -level.
 
     Factorises -(M + (level + slack) I) by Cholesky, which succeeds exactly
-    when that matrix is positive definite; slack = 1e-12 * (1 + ||M||_F)
-    absorbs the factorisation's roundoff, so an eigenvalue on -level counts
-    as not below it.
+    when that matrix is positive definite; slack = 1e-12 * (1 + norm), with
+    norm = ||M||_F, absorbs the factorisation's roundoff, so an eigenvalue on
+    -level counts as not below it.
     """
     shifted = -M
-    shifted.flat[:: M.shape[0] + 1] -= level + _DEFINITE_SLACK * (1.0 + np.linalg.norm(M))
+    shifted.flat[:: M.shape[0] + 1] -= level + _DEFINITE_SLACK * (1.0 + norm)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -189,16 +189,17 @@ def schur_feasible(A_full: np.ndarray, pinned: Iterable[int], gains, alpha: floa
     if not np.all(np.isfinite(gains)):
         raise ContractViolationError("gains must be finite")
     a1, a12, a2 = P[:u, :u], P[:u, u:], P[u:, u:]
-    if not _below(a1, alpha):
-        return False  # first block condition fails; no inverse needed
-    if not _below(a1, alpha + _PIVOT_GAP):
+    a1_norm = np.linalg.norm(a1)
+    if not _below(a1, alpha + _PIVOT_GAP, a1_norm):
+        if not _below(a1, alpha, a1_norm):
+            return False  # first block condition fails; no inverse needed
         raise BoundaryCaseError("pivot block nearly singular at -alpha; feasibility indeterminate")
     P.flat[: u * (n + 1) : n + 1] += alpha  # a1 becomes the pivot a1 + alpha I
     P.flat[u * (n + 1) :: n + 1] -= gains[np.argsort(pinned)]  # a2 becomes a2 - D
     complement = a2 - a12.T @ np.linalg.solve(a1, a12)
     complement.flat[:: n - u + 1] += alpha
     complement = 0.5 * (complement + complement.T)  # scrub roundoff asymmetry
-    return _below(complement, 0.0)
+    return _below(complement, 0.0, np.linalg.norm(complement))
 
 
 def min_uniform_gain(
@@ -247,9 +248,13 @@ def min_uniform_gain(
     except np.linalg.LinAlgError:
         raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
     eps = max(0.0, -float(lam[0]))
-    err = float(np.finfo(float).eps * np.linalg.norm(controlled(eps)) * (1.0 + z @ z))
+    a_ctrl = controlled(eps)
+    norm = np.linalg.norm(a_ctrl)
+    err = float(np.finfo(float).eps * norm * (1.0 + z @ z))
     if err <= tol:
-        for gain in (eps, eps + err):
-            if _below(controlled(gain), margin):
-                return gain
+        if _below(a_ctrl, margin, norm):
+            return eps
+        a_ctrl = controlled(eps + err)
+        if _below(a_ctrl, margin, np.linalg.norm(a_ctrl)):
+            return eps + err
     raise BoundaryCaseError(f"minimal gain {eps!r} uncertain by {err:.3g}, tol {tol:g}")

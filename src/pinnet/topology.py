@@ -118,6 +118,41 @@ def cluster_stars(spec: ClusterSpec) -> Graph:
     return Graph(spec.n_nodes, frozenset(edges))
 
 
+# 64-bit PCG64 outputs read per block, each split into two 32-bit words.
+_RAW_BLOCK = 64
+
+
+def _index_draws(seed: int):
+    """draw(k): the next value of Generator(PCG64(seed)).integers(0, k), for 1 <= k < 2**32.
+
+    numpy draws such a value from the stream's 32-bit words: the low half of
+    each 64-bit output, then its high half. A word w maps to (w * k) >> 32
+    unless the low 32 bits of w * k fall below (2**32 - k) % k, in which case
+    it is rejected and the next word taken (Lemire, arXiv 1805.10941); k = 1
+    takes no word. Here the words are read in blocks instead of one
+    Generator call per value, and the values are the same.
+    """
+    bits = np.random.PCG64(seed)
+    words: list[int] = []
+    pos = 0
+
+    def draw(k: int) -> int:
+        nonlocal words, pos
+        if k == 1:
+            return 0
+        threshold = (0x100000000 - k) % k
+        while True:
+            if pos == len(words):
+                words = bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
+                pos = 0
+            product = words[pos] * k
+            pos += 1
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+
+    return draw
+
+
 def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     """Seeded preferential-attachment graph.
 
@@ -125,6 +160,9 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     the initial degrees well defined), then attaches each new node with m
     edges to distinct existing nodes chosen with probability proportional to
     current degree. Duplicate draws are resampled so the graph stays simple.
+    Each draw is the value ``Generator(PCG64(seed)).integers(0, pool size)``
+    would give, so a graph whose degree pool would reach 2**32 entries, past
+    numpy's 32-bit draws, is refused before anything is built.
 
     Parameters
     ----------
@@ -139,7 +177,13 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
         )
     if seed < 0:
         raise ContractViolationError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    pool_size = max(1, m0 * (m0 - 1)) + 2 * m * (n_nodes - m0)
+    if pool_size >= 2**32:
+        raise InvalidSizeError(
+            f"degree pool of {pool_size} entries reaches 2**32: n_nodes={n_nodes}, m0={m0}, "
+            f"m={m} is too large"
+        )
+    draw = _index_draws(seed)
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     # One entry per unit of degree; uniform draws from this list realise
     # degree-proportional attachment.
@@ -149,7 +193,7 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     for new in range(m0, n_nodes):
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(degree_pool[rng.integers(0, len(degree_pool))])
+            targets.add(degree_pool[draw(len(degree_pool))])
         for t in sorted(targets):
             edges.append((t, new))
             degree_pool.append(t)
@@ -189,7 +233,8 @@ def write_edge_list(g: Graph, path) -> None:
 def read_edge_list(path) -> Graph:
     """Read the edge-list format written by :func:`write_edge_list`.
 
-    A malformed file raises a PinnetError naming the file and the line.
+    A malformed file raises a PinnetError naming the file and the line; an
+    edge listed twice, in either orientation, names both lines.
     """
     text = read_text(path)
     lines = [(k, ln.split()) for k, ln in enumerate(text.split("\n"), 1) if ln.strip()]
@@ -201,14 +246,20 @@ def read_edge_list(path) -> Graph:
         n = int(n)
     except ValueError:
         raise InvalidSizeError(f"{path}:{k}: expected header 'N <n>', got {header}") from None
-    edges = []
+    line_of: dict[tuple[int, int], int] = {}  # each edge, canonical, and its line
     for k, fields in lines[1:]:
         try:
             i, j = fields
-            edges.append((int(i), int(j)))
+            i, j = int(i), int(j)
         except ValueError:
             raise ContractViolationError(f"{path}:{k}: expected an edge 'i j', got {fields}") from None
+        edge = (min(i, j), max(i, j))
+        if edge in line_of:
+            raise ContractViolationError(
+                f"{path}:{k}: edge {i} {j} repeats the edge on line {line_of[edge]}"
+            )
+        line_of[edge] = k
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, line_of)
     except PinnetError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

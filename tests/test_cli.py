@@ -318,6 +318,8 @@ def test_scenario_file_error_names_the_file(command, tmp_path, capsys):
     ("--edges", "N 3\n1\n", "edges:2"),
     ("--edges", "N 3\n0 1 2\n", "edges:2"),
     ("--edges", "N x\n0 1\n", "edges:1"),
+    ("--edges", "N 3\n0 1\n0 1\n1 0\n", "edges:3: edge 0 1 repeats the edge on line 2"),
+    ("--edges", "N 3\n0 1\n1 2\n1 0\n", "edges:4: edge 1 0 repeats the edge on line 2"),
     ("--plan", '{"n": 3, "c": 1.0}', "plan: pins is missing"),
     ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": "a", "gain": 1.0}]}', "plan: pins[0].node"),
     ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": 1, "gain": 1.0}, {"node": 1, "gain": 2.0}]}',

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
@@ -376,9 +376,10 @@ def _oracle_stable(M):
     return _hurwitz_exact(M)
 
 
-def _samples_between_cuts(F, gamma, reach=1e4):
-    """Sorted sigmas in [-reach, reach], one between each pair of neighbouring
-    places where F + sigma*diag(gamma) can change stability.
+def _samples_between_cuts(F, gamma):
+    """Sorted sigmas, one inside each interval between neighbouring places
+    where F + sigma*diag(gamma) can change stability, the two unbounded ones
+    included: -reach and reach lie past every cut, reach = 1 + 2 max|cut|.
 
     Those places are real roots of the Routh-Hurwitz polynomials. The
     characteristic-polynomial coefficients have degree <= 3 in sigma, so
@@ -387,10 +388,15 @@ def _samples_between_cuts(F, gamma, reach=1e4):
     """
     sigmas = np.arange(4.0)
     G = np.diag(gamma)
-    _, a1, a2, a3 = np.polyfit(sigmas, [np.poly(F + s * G) for s in sigmas], 3).T
+    fit = np.polyfit(sigmas, [np.poly(F + s * G) for s in sigmas], 3)
+    # Roundoff leaves about 1e-15 where a coefficient vanishes. Left in, a
+    # vanishing leading coefficient adds a spurious root near 1e7 or beyond,
+    # so far out that the cubic oracle misjudges stability there.
+    fit[np.abs(fit) <= 1e-9 * np.abs(fit).max(axis=0)] = 0.0
+    _, a1, a2, a3 = fit.T
     roots = [np.roots(p).real for p in (a1, a3, np.polysub(np.polymul(a1, a2), a3))]
-    cuts = np.concatenate([[-reach, reach]] + roots)
-    cuts = np.unique(cuts[np.abs(cuts) <= reach])
+    cuts = np.unique(np.concatenate(roots))
+    reach = 1.0 + 2.0 * np.abs(cuts).max(initial=0.0)
     return np.concatenate([[-reach], 0.5 * (cuts[1:] + cuts[:-1]), [reach]])
 
 
@@ -421,6 +427,7 @@ class TestModeThreshold:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=49734184)  # stable only on a bounded interval, which ends near sigma = -1.25e4
     def test_agrees_with_cubic_oracle(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         F = rng.uniform(-5.0, 5.0, (3, 3))

@@ -31,6 +31,7 @@ from spectral_oracle import (
     evaluate_plan,
     gershgorin_check,
     jacobi_eig,
+    schur_feasible_alpha_first,
 )
 
 
@@ -219,6 +220,30 @@ class TestSchurFeasible:
             assert result == (lam1 < -alpha)
             checked += 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        shrink=st.sampled_from([1.0, 0.9, 0.5]),
+        offset=st.floats(-3e-9, 3e-9),
+    )
+    def test_pivot_order_keeps_decisions(self, seed, n, shrink, offset):
+        # With shrink 1, alpha sits within a few pivot gaps of -lambda_1 of the
+        # unpinned block, where the two orders of the pivot tests could part;
+        # below 1, the pivot passes and the Schur complement decides.
+        rng, A, pinned = _pinned_instance(seed, n)
+        unpinned = [i for i in range(n) if i not in pinned]
+        alpha = -shrink * float(np.linalg.eigvalsh(A[np.ix_(unpinned, unpinned)])[-1]) + offset
+        gains = rng.uniform(0.1, 20.0, len(pinned))
+
+        def decision(feasible):
+            try:
+                return feasible(A, pinned, gains, alpha)
+            except BoundaryCaseError:
+                return "boundary"
+
+        assert decision(schur_feasible) == decision(schur_feasible_alpha_first)
+
     def test_validates_inputs(self):
         A = coupling_matrix(star(4))
         with pytest.raises(ContractViolationError):
@@ -363,7 +388,7 @@ class TestDefinitenessOracle:
         A[pinned, pinned] -= rng.uniform(0.0, 50.0, len(pinned))
         lam1 = jacobi_eig(A).lambda_max
         assume(abs(lam1 + margin) > 1e-9)
-        assert _below(A, margin) == (lam1 < -margin)
+        assert _below(A, margin, np.linalg.norm(A)) == (lam1 < -margin)
 
     @settings(max_examples=20, deadline=None)
     @given(

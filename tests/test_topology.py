@@ -2,9 +2,10 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinnet.topology
 from conftest import TMP_FILE_SETTINGS, random_connected_graph
 from pinnet.errors import InvalidSizeError, PinnetError
 from pinnet.spectral import eig_symmetric
@@ -20,6 +21,8 @@ from pinnet.topology import (
     star,
     write_edge_list,
 )
+from topology_oracle import barabasi_albert_oracle
+
 
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability of every node from node 0."""
@@ -155,6 +158,64 @@ class TestBarabasiAlbert:
     def test_invalid_parameters(self, bad):
         with pytest.raises(InvalidSizeError):
             barabasi_albert(*bad)
+
+
+class _Drew(Exception):
+    pass
+
+
+def _no_draws(seed):
+    raise _Drew
+
+
+@st.composite
+def ba_parameters(draw):
+    """(n_nodes, m0, m, seed) with 1 <= m <= m0 < n_nodes."""
+    m0 = draw(st.integers(1, 7))
+    m = draw(st.integers(1, m0))
+    return draw(st.integers(m0 + 1, 120)), m0, m, draw(st.integers(0, 2**64 - 1))
+
+
+class TestBarabasiAlbertDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(params=ba_parameters())
+    @example(params=(2, 1, 1, 0))
+    @example(params=(40, 1, 1, 7))
+    @example(params=(30, 4, 4, 2**64 - 1))
+    @example(params=(20, 3, 3, 1520))  # the shipped scale-free instance
+    def test_edges_match_generator_oracle(self, params):
+        assert barabasi_albert(*params).edges == barabasi_albert_oracle(*params).edges
+
+    @pytest.mark.parametrize(
+        "k", [1, 2, 3, 7, 1000, 2**31 - 1, 2**31, 2**31 + 12345, 2**32 - 2, 2**32 - 1]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    def test_index_draws_match_generator_integers(self, k, seed):
+        # For k > 1, 300 draws take words from at least three blocks; just
+        # above 2**31 about half the words are rejected.
+        draw = pinnet.topology._index_draws(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert [draw(k) for _ in range(300)] == [int(rng.integers(0, k)) for _ in range(300)]
+
+    def test_stream_continues_across_ranges(self):
+        ks = [1, 5, 2**31 + 1, 1, 3, 2**32 - 1, 9] * 40
+        draw = pinnet.topology._index_draws(42)
+        rng = np.random.Generator(np.random.PCG64(42))
+        assert [draw(k) for k in ks] == [int(rng.integers(0, k)) for k in ks]
+
+    @pytest.mark.parametrize("n,m0,m", [
+        (2**31, 3, 3),  # pool 6 * 2**31 - 12
+        (2**31 + 1, 1, 1),  # pool 2**32 + 1
+    ])
+    def test_pool_reaching_2_32_refused_before_drawing(self, monkeypatch, n, m0, m):
+        monkeypatch.setattr(pinnet.topology, "_index_draws", _no_draws)
+        with pytest.raises(InvalidSizeError, match=r"reaches 2\*\*32"):
+            barabasi_albert(n, m0, m, 0)
+
+    def test_pool_below_2_32_goes_on_to_draw(self, monkeypatch):
+        monkeypatch.setattr(pinnet.topology, "_index_draws", _no_draws)
+        with pytest.raises(_Drew):
+            barabasi_albert(2**31, 1, 1, 0)  # pool 2**32 - 1
 
 
 class TestCouplingMatrix:

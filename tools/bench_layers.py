@@ -23,7 +23,9 @@ the same host conditions. Measured per tree:
   or the three hubs of scale-free graphs on 30, 39, 33 and 36 nodes (m0 = m =
   3); each builds its graph, asks `min_uniform_gain` (margin 0.5, tol 1e-6)
   and, for a gain, confirms it with `schur_feasible` and the `lambda_max` of
-  `controlled_spectrum`; the median of 5 passes over the eight, per query.
+  `controlled_spectrum`; the median of 5 passes over the eight, per query;
+- `graph_build_us`: `barabasi_albert` alone for the same eight queries' graphs,
+  the median of 5 passes over the eight, per graph.
 
 Per tree the output holds every round's value and their median, and for two
 trees the ratio first / second of the medians. With `--out`, these go under
@@ -47,6 +49,8 @@ BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H, REPEATS = 2000, 5e-4, 5
 DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
+# The rows with one number per tree and round.
+SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "design_query_us", "graph_build_us")
 
 
 def _median_time(fn, repeats: int = REPEATS) -> float:
@@ -129,8 +133,15 @@ def measure() -> dict:
 
     design()
     design_us = 1e6 * _median_time(design) / len(queries)
+
+    def graphs():
+        for n, graph_seed, _, _ in queries:
+            barabasi_albert(n, 3, 3, graph_seed)
+
+    graphs()
+    graph_us = 1e6 * _median_time(graphs) / len(queries)
     return {"rk4_step_us": step_us, "rhs_us": rhs_us, "reproduce_all_s": reproduce_s,
-            "design_query_us": design_us}
+            "design_query_us": design_us, "graph_build_us": graph_us}
 
 
 def _worker(src: str) -> dict:
@@ -182,6 +193,8 @@ def main(argv=None) -> int:
             "design_query_us": f"design_ba's eight seed-{DESIGN_SEED} queries (graph build, "
                                f"min_uniform_gain, schur_feasible, controlled_spectrum's "
                                f"lambda_max); median of {REPEATS} passes / 8",
+            "graph_build_us": f"barabasi_albert for the graphs of design_ba's eight "
+                              f"seed-{DESIGN_SEED} queries; median of {REPEATS} passes / 8",
             "rounds": f"{args.rounds} per tree, each in a fresh process, alternating which "
                       "tree goes first",
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -192,9 +205,7 @@ def main(argv=None) -> int:
             "rk4_step_us": {
                 B: _summary([res["rk4_step_us"][B] for res in results]) for B in results[0]["rk4_step_us"]
             },
-            "rhs_us": _summary([res["rhs_us"] for res in results]),
-            "reproduce_all_s": _summary([res["reproduce_all_s"] for res in results]),
-            "design_query_us": _summary([res["design_query_us"] for res in results]),
+            **{key: _summary([res[key] for res in results]) for key in SCALAR_ROWS},
         }
     if len(trees) == 2:
         (first, _), (second, _) = trees
@@ -204,13 +215,7 @@ def main(argv=None) -> int:
                 B: round(a["rk4_step_us"][B]["median"] / b["rk4_step_us"][B]["median"], 3)
                 for B in a["rk4_step_us"]
             },
-            "rhs_us": round(a["rhs_us"]["median"] / b["rhs_us"]["median"], 3),
-            "reproduce_all_s": round(
-                a["reproduce_all_s"]["median"] / b["reproduce_all_s"]["median"], 3
-            ),
-            "design_query_us": round(
-                a["design_query_us"]["median"] / b["design_query_us"]["median"], 3
-            ),
+            **{key: round(a[key]["median"] / b[key]["median"], 3) for key in SCALAR_ROWS},
         }
 
     if args.out is None:
