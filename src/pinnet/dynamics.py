@@ -91,28 +91,33 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     dz = x y - b z
     """
     a, b, c = p.a, p.b, p.c
-    # The field's constants as 0-d float64 arrays, made once: a ufunc takes
-    # them with less overhead than Python floats, with the same arithmetic.
-    a0, b0, c0, c_a = (np.array(v) for v in (a, b, c, c - a))
+    # a as a 0-d float64 array, made once: a ufunc takes it with less
+    # overhead than a Python float, with the same arithmetic.
+    a0 = np.array(a)
+    # The constant of each column's linear term: (c - a) x, c y, b z.
+    linear = np.array([c - a, c, b])
 
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def bind(x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
         x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
         dx, dy, dz = out[:, 0], out[:, 1], out[:, 2]
+        # The linear constants tiled to x's shape: one contiguous multiply
+        # forms all three linear terms (a broadcast (3,) row is slower).
+        constants = np.tile(linear, (len(x), 1))
+        terms = np.empty_like(constants)
+        cx, cy, bz = terms[:, 0], terms[:, 1], terms[:, 2]
 
         def field() -> None:
-            # Component by component into `out`, each still unwritten
-            # component serving as scratch; same products and sums as the
-            # formulas above.
-            multiply(x3, b0, dy)
+            # The same products and sums, in the same order, as the formulas
+            # above, each sum with its operands and output where the
+            # component-wise kernel had them, so even NaN payloads agree.
+            multiply(x, constants, terms)
             multiply(x1, x2, dz)
-            subtract(dz, dy, dz)
+            subtract(dz, bz, dz)
             multiply(x1, x3, dx)
-            multiply(x1, c_a, dy)
-            subtract(dy, dx, dy)
-            multiply(x2, c0, dx)
-            add(dy, dx, dy)
+            subtract(cx, dx, dy)
+            add(dy, cy, dy)
             subtract(x2, x1, dx)
             multiply(dx, a0, dx)
 
@@ -186,41 +191,50 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     Coupling and feedback touch only the coupled columns j (gamma_j = 1):
     out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the operations of
     f + c (A X) Gamma - c eps Gamma (X - s) in the same order, less the exact
-    products by Gamma. A member with c = 0 skips both terms, so an
-    overflowing A X cannot make them 0 * inf = NaN; one with no pinned node
-    adds exact zeros. So a member's arithmetic does not depend on its batch
-    mates.
+    products by Gamma. Both products of every coupled column come from one
+    multiply: A X fills the first n columns of a (B, N, n + |J|) block and
+    X_j - s_j its last |J| (J the coupled columns), and the block is scaled
+    row by row by c and c * eps. A member with c = 0 reads neither product,
+    so an overflowing A X cannot make them 0 * inf = NaN; one with no pinned
+    node adds exact zeros. So a member's arithmetic does not depend on its
+    batch mates.
     """
     if not (X.flags.c_contiguous and out.flags.c_contiguous):
         raise ContractViolationError("the RHS binds views: X and out must be C-contiguous")
     B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
+    J = np.flatnonzero(sys.gamma)
     # Per node row of the flattened (B*N, n) batch: c and c * eps_i.
     c = np.array([p.coupling_strength for p in plans])
     c_eps = (c[:, None] * np.array([p.gains for p in plans], dtype=float)).ravel()
     # The rows that take coupling: all, or those of each member with c != 0.
     coupled = np.flatnonzero(c)
     ranges = [slice(None)] if len(coupled) == B else [slice(b * N, (b + 1) * N) for b in coupled]
-    c = np.repeat(c, N)
-    A = sys.coupling
-    AX, scratch = np.empty((B, N, n)), np.empty(B * N)
-    rows, out_rows, AX_rows = X.reshape(-1, n), out.reshape(-1, n), AX.reshape(-1, n)
+    # The product block and its row constants: c under A X, c * eps under X - s.
+    width = n + len(J)
+    products, scale = np.zeros((B, N, width)), np.empty((B * N, width))
+    scale[:, :n] = np.repeat(c, N)[:, None]
+    scale[:, n:] = c_eps[:, None]
+    A, AX = sys.coupling, products[..., :n]
+    rows, out_rows, prod_rows = X.reshape(-1, n), out.reshape(-1, n), products.reshape(-1, width)
     field = sys.dynamics.bind(rows, out_rows)
-    # Per coupled column j and row range r: the views into out, A X, X, c,
-    # c * eps and the scratch, and s_j as a 0-d array.
-    terms = [(out_rows[r, j], AX_rows[r, j], rows[r, j], np.array(sys.target[j]),
-              c[r], c_eps[r], scratch[r])
-             for j in np.flatnonzero(sys.gamma) for r in ranges]
+    # Per coupled column: the views X_j and its slot X_j - s_j, and s_j as a
+    # 0-d array; per coupled column and row range: the views into out,
+    # c * (A X)_j and (c * eps) * (X_j - s_j).
+    offsets = [(rows[:, j], prod_rows[:, n + k], np.array(sys.target[j]))
+               for k, j in enumerate(J)]
+    terms = [(out_rows[r, j], prod_rows[r, j], prod_rows[r, n + k])
+             for k, j in enumerate(J) for r in ranges]
     multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
     def rhs() -> np.ndarray:
         field()
         matmul(A, X, AX)
-        for col, AX_col, x_col, s_j, c_r, c_eps_r, tmp in terms:
-            multiply(c_r, AX_col, tmp)
-            add(col, tmp, col)
-            subtract(x_col, s_j, tmp)
-            multiply(tmp, c_eps_r, tmp)
-            subtract(col, tmp, col)
+        for x_col, slot, s_j in offsets:
+            subtract(x_col, s_j, slot)
+        multiply(prod_rows, scale, prod_rows)
+        for col, coupling, feedback in terms:
+            add(col, coupling, col)
+            subtract(col, feedback, col)
         return out
 
     return rhs
@@ -294,10 +308,11 @@ def integrate_batch(
                 np.empty_like(X), np.empty(X.shape[:2]), np.empty(X.shape[:1]))
 
     k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X, live)
+    flat = X.reshape(-1)  # a view: X is C-contiguous
     # The step's scalars as 0-d float64 arrays: cheaper ufunc operands than
     # Python floats, with the same arithmetic.
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
-    multiply, add, subtract = np.multiply, np.add, np.subtract
+    multiply, add, subtract, dot = np.multiply, np.add, np.subtract, np.dot
     target = sys.target
     # Overflow is handled explicitly via the finiteness check, so numpy's
     # warnings would only be noise on a member that is about to be dropped.
@@ -321,10 +336,11 @@ def integrate_batch(
                 add(ksum, k, ksum)
                 multiply(ksum, sixth_h, ksum)
                 add(X, ksum, X)
-                # A finite sum proves every entry finite; only a non-finite
-                # one (an entry gone non-finite, or finite entries whose sum
-                # overflows) needs the per-member test.
-                if not math.isfinite(add.reduce(X, None)):
+                # A finite sum of squares proves every entry finite; only a
+                # non-finite one (an entry gone non-finite, or finite entries
+                # whose squares or their sum overflow) needs the per-member
+                # test.
+                if not math.isfinite(dot(flat, flat)):
                     ok = np.all(np.isfinite(X), axis=(1, 2))
                     if not ok.all():
                         for b in live[~ok]:
@@ -333,6 +349,7 @@ def integrate_batch(
                         if not len(live):
                             return out
                         k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X, live)
+                        flat = X.reshape(-1)
             if step % record_every == 0:
                 rec = step // record_every
                 times[rec] = step * h

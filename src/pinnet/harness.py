@@ -151,9 +151,11 @@ def run_scenarios(
     results: list = [None] * len(scenarios)
     for (topology, h, T, record_every), idx in groups.items() if simulate else ():
         sys = networks[topology][1]
-        X0 = [initial_state(sys.target, sys.n_nodes, scenarios[i].sim.init_seed) for i in idx]
+        # One draw per distinct seed: a sweep's members all share one.
+        seeds = [scenarios[i].sim.init_seed for i in idx]
+        starts = {seed: initial_state(sys.target, sys.n_nodes, seed) for seed in set(seeds)}
         batch = integrate_batch(
-            sys, [built[i][0] for i in idx], np.array(X0), h, T,
+            sys, [built[i][0] for i in idx], np.array([starts[seed] for seed in seeds]), h, T,
             record_every=record_every, record_states=full_states,
         )
         for i, result in zip(idx, batch):

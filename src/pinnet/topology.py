@@ -10,6 +10,7 @@ states produce zero interaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,10 +62,12 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix."""
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        n = self.n_nodes
+        a = np.zeros((n, n))
+        # Both entries of every edge (i, j) in one assignment, at the
+        # row-major flat indices i n + j and j n + i.
+        ij = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        np.put(a, ij.reshape(-1, 2) @ np.array([[n, 1], [1, n]]), 1.0)
         return a
 
 
@@ -159,10 +162,12 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     Starts from a complete graph on m0 nodes (keeps the graph connected and
     the initial degrees well defined), then attaches each new node with m
     edges to distinct existing nodes chosen with probability proportional to
-    current degree. Duplicate draws are resampled so the graph stays simple.
-    Each draw is the value ``Generator(PCG64(seed)).integers(0, pool size)``
-    would give, so a graph whose degree pool would reach 2**32 entries, past
-    numpy's 32-bit draws, is refused before anything is built.
+    current degree (with m0 = 1, the lone seed node has no degree, and the
+    first new node attaches to it). Duplicate draws are resampled so the
+    graph stays simple. Each draw is the value
+    ``Generator(PCG64(seed)).integers(0, pool size)`` would give, so a graph
+    whose degree pool would reach 2**32 entries, past numpy's 32-bit draws,
+    is refused before anything is built.
 
     Parameters
     ----------
@@ -177,7 +182,7 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
         )
     if seed < 0:
         raise ContractViolationError(f"seed must be a non-negative integer, got {seed}")
-    pool_size = max(1, m0 * (m0 - 1)) + 2 * m * (n_nodes - m0)
+    pool_size = m0 * (m0 - 1) + 2 * m * (n_nodes - m0)
     if pool_size >= 2**32:
         raise InvalidSizeError(
             f"degree pool of {pool_size} entries reaches 2**32: n_nodes={n_nodes}, m0={m0}, "
@@ -188,12 +193,12 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     # One entry per unit of degree; uniform draws from this list realise
     # degree-proportional attachment.
     degree_pool = [i for i in range(m0) for _ in range(m0 - 1)]
-    if m0 == 1:
-        degree_pool = [0]  # lone seed node would otherwise be unreachable
     for new in range(m0, n_nodes):
+        # A lone seed node has no degree yet: the first new node takes it.
+        pool = degree_pool or [0]
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(degree_pool[draw(len(degree_pool))])
+            targets.add(pool[draw(len(pool))])
         for t in sorted(targets):
             edges.append((t, new))
             degree_pool.append(t)

@@ -7,6 +7,9 @@ are what the tests compare it against or drive it with:
 - ``field_at``: the node field at one state or at each row of a batch;
 - ``linear_field``: the linear node field dx = F x, whose exact solutions
   and modes the tests know;
+- ``chen_reference_field``: the chaotic node field with its earlier kernel,
+  ten ufunc calls on the columns, each linear term a product by a 0-d
+  constant; ``chen_field``'s kernel must give the same bytes;
 - ``network_rhs``: one evaluation of the network's right-hand side at a
   single (N, n) state;
 - ``sync_error``: the error measure that ``integrate_batch`` records;
@@ -23,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pinnet.dynamics import NetworkSystem, NodeDynamics, SimulationResult, _rhs, integrate_batch
+from pinnet.dynamics import (
+    ChenParameters,
+    NetworkSystem,
+    NodeDynamics,
+    SimulationResult,
+    _rhs,
+    chen_field,
+    integrate_batch,
+)
 from pinnet.errors import ContractViolationError, DivergenceError
 from pinnet.pinning import PinningPlan
 from pinnet.spectral import eig_symmetric
@@ -56,6 +67,33 @@ def linear_field(F: np.ndarray) -> NodeDynamics:
         return F.copy()
 
     return NodeDynamics(n, bind, jacobian, spectral_norm)
+
+
+def chen_reference_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
+    """chen_field(p) with the ten-call kernel that forms each linear term alone."""
+    a0, b0, c0, c_a = (np.array(v) for v in (p.a, p.b, p.c, p.c - p.a))
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+
+    def bind(x: np.ndarray, out: np.ndarray):
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        dx, dy, dz = out[:, 0], out[:, 1], out[:, 2]
+
+        def field():
+            multiply(x3, b0, dy)
+            multiply(x1, x2, dz)
+            subtract(dz, dy, dz)
+            multiply(x1, x3, dx)
+            multiply(x1, c_a, dy)
+            subtract(dy, dx, dy)
+            multiply(x2, c0, dx)
+            add(dy, dx, dy)
+            subtract(x2, x1, dx)
+            multiply(dx, a0, dx)
+
+        return field
+
+    field = chen_field(p)
+    return NodeDynamics(3, bind, field.jacobian, field.lipschitz)
 
 
 def network_rhs(sys: NetworkSystem, plan: PinningPlan, X: np.ndarray) -> np.ndarray:

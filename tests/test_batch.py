@@ -98,6 +98,23 @@ def test_batched_sweep_golden_sync_times(fig8b_sweep):
     )
 
 
+def test_sweep_draws_its_shared_initial_state_once(monkeypatch):
+    # The twelve members share the base scenario's seed: one rejection-
+    # sampling draw serves them all (the bitwise test above checks the states).
+    seeds = []
+    draw = pinnet.harness.initial_state
+
+    def spy(target, n_nodes, seed):
+        seeds.append(seed)
+        return draw(target, n_nodes, seed)
+
+    monkeypatch.setattr(pinnet.harness, "initial_state", spy)
+    base = get_scenario("fig8b")
+    base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=0.01))
+    sweep(base, "epsilon", SWEEP_GAINS)
+    assert seeds == [base.sim.init_seed]
+
+
 def reference_rk4(sys, plan, X, h, T, record_every):
     """The solo step loop integrate_batch replaced, kept as the bitwise reference."""
     c, eps = plan.coupling_strength, plan.gain_array()
@@ -212,6 +229,35 @@ def test_uncoupled_member_ignores_an_overflowing_coupling_product():
     (result,) = integrate_batch(sys, [PinningPlan(9, (0.0,) * 9, 0.0)], X0, 1e-3, 0.01)
     assert not isinstance(result, DivergenceError)
     assert all(np.array_equal(x, X0[0]) for x in result.states)
+
+
+@pytest.mark.parametrize("members", [[0, 1, 2, 3], [1, 2]], ids=["mixed-c", "all-coupled"])
+def test_two_coupled_columns_match_reference_solo_loop(members):
+    # Gamma = (1, 0, 1) under a linear field on the 9-node star: both coupled
+    # columns share the RHS's product block. The c = 0 members take no term;
+    # the first starts at 1e308, where the star's A @ X overflows though the
+    # state stays finite. One coupled member pins no node.
+    rng = np.random.default_rng(7)
+    F = rng.uniform(-0.05, 0.05, (3, 3))
+    target = rng.uniform(-1.0, 1.0, 3)
+    F -= np.outer(F @ target, target) / (target @ target)  # F s ~ 0: s is the target
+    sys = dataclasses.replace(zero_field_star(), dynamics=linear_field(F),
+                              gamma=np.array([1.0, 0.0, 1.0]), target=target)
+    gains = tuple(rng.uniform(0.0, 3.0, 9))
+    plans = [PinningPlan(9, gains, 0.0), PinningPlan(9, gains, 0.5),
+             PinningPlan(9, (0.0,) * 9, 2.0), PinningPlan(9, gains, 0.0)]
+    X0 = target + rng.uniform(-2.0, 2.0, (4, 9, 3))
+    X0[0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(sys.coupling @ X0[0]).all()
+    h, T = 1e-2, 0.5
+    batch = integrate_batch(sys, [plans[b] for b in members], X0[members], h, T)
+    for b, result in zip(members, batch):
+        assert not isinstance(result, DivergenceError)
+        with np.errstate(over="ignore"):
+            states, errors = reference_rk4(sys, plans[b], X0[b], h, T, 1)
+        assert np.array_equal(result.states, states)
+        assert np.array_equal(result.error_metric, errors)
 
 
 def first_non_finite_time(sys, plan, x0, h, T):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from dynamics_oracle import (
+    chen_reference_field,
     field_at,
     integrate_one,
     linear_field,
@@ -37,6 +38,10 @@ from pinnet.topology import Graph, coupling_matrix, star
 from spectral_oracle import spectral_abscissa_3
 
 GAMMA = np.array([0.0, 1.0, 0.0])
+
+
+# Entries that the field's products and sums turn into inf or NaN.
+CHEN_SPECIALS = np.array([math.inf, -math.inf, math.nan, -math.nan, 1e200, -1e200])
 
 
 def zero_plan(n, c=0.0):
@@ -105,6 +110,23 @@ class TestChenField:
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
             ChenParameters(a=60.0, b=3.0, c=28.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           p=st.sampled_from([ChenParameters(), ChenParameters(10.0, 8.0 / 3.0, 28.0)]))
+    @example(rows=1, seed=2151, p=ChenParameters())  # x = (NaN, -NaN, -18.7)
+    def test_kernel_bytes_equal_ten_call_reference(self, rows, seed, p):
+        # Rows mix finite entries with +-inf, NaNs of both signs and +-1e200,
+        # whose products overflow; each entry is special with a drawn chance.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-50.0, 50.0, (rows, 3))
+        special = rng.random((rows, 3)) < rng.random()
+        x[special] = rng.choice(CHEN_SPECIALS, int(special.sum()))
+        out, expected = np.empty_like(x), np.empty_like(x)
+        with np.errstate(all="ignore"):
+            chen_field(p).bind(x, out)()
+            chen_reference_field(p).bind(x, expected)()
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dyn", [chen_field(), linear_field(np.arange(9.0).reshape(3, 3) - 4.0)],

@@ -48,6 +48,15 @@ def is_connected(g: Graph) -> bool:
 BA_20_3_2_SEED42_DEGREES = [10, 4, 7, 4, 7, 5, 8, 4, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2]
 
 
+@st.composite
+def simple_graphs(draw):
+    """A Graph on 1-12 nodes with any set of edges, the empty set included."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, frozenset(edges))
+
+
 class TestGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidSizeError):
@@ -60,6 +69,20 @@ class TestGraph:
     def test_from_edges_canonicalises_and_dedupes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
         assert g.edges == frozenset({(0, 2), (1, 2)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=simple_graphs())
+    @example(graph=Graph(1, frozenset()))
+    @example(graph=Graph(6, frozenset()))
+    def test_adjacency_equals_per_edge_loop(self, graph):
+        n = graph.n_nodes
+        expected = np.zeros((n, n))
+        for i, j in graph.edges:
+            expected[i, j] = 1.0
+            expected[j, i] = 1.0
+        a = graph.adjacency()
+        assert a.dtype == expected.dtype and a.flags.c_contiguous
+        assert np.array_equal(a, expected)
 
     def test_adjacency_symmetric(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3), (1, 3)])
@@ -186,6 +209,14 @@ class TestBarabasiAlbertDraws:
     def test_edges_match_generator_oracle(self, params):
         assert barabasi_albert(*params).edges == barabasi_albert_oracle(*params).edges
 
+    def test_lone_seed_node_leaves_the_pool(self):
+        # m0 = m = 1: node 1 takes node 0 without a draw, after which nodes 0
+        # and 1 have degree 1 each, so node 2 picks one of them with the
+        # first value of integers(0, 2).
+        for seed in range(500):
+            first = int(np.random.Generator(np.random.PCG64(seed)).integers(0, 2))
+            assert barabasi_albert(3, 1, 1, seed).edges == {(0, 1), (first, 2)}
+
     @pytest.mark.parametrize(
         "k", [1, 2, 3, 7, 1000, 2**31 - 1, 2**31, 2**31 + 12345, 2**32 - 2, 2**32 - 1]
     )
@@ -205,7 +236,7 @@ class TestBarabasiAlbertDraws:
 
     @pytest.mark.parametrize("n,m0,m", [
         (2**31, 3, 3),  # pool 6 * 2**31 - 12
-        (2**31 + 1, 1, 1),  # pool 2**32 + 1
+        (2**31 + 1, 1, 1),  # pool 2**32
     ])
     def test_pool_reaching_2_32_refused_before_drawing(self, monkeypatch, n, m0, m):
         monkeypatch.setattr(pinnet.topology, "_index_draws", _no_draws)
@@ -215,7 +246,7 @@ class TestBarabasiAlbertDraws:
     def test_pool_below_2_32_goes_on_to_draw(self, monkeypatch):
         monkeypatch.setattr(pinnet.topology, "_index_draws", _no_draws)
         with pytest.raises(_Drew):
-            barabasi_albert(2**31, 1, 1, 0)  # pool 2**32 - 1
+            barabasi_albert(2**31, 1, 1, 0)  # pool 2**32 - 2
 
 
 class TestCouplingMatrix:

@@ -18,12 +18,11 @@ def barabasi_albert_oracle(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     rng = np.random.Generator(np.random.PCG64(seed))
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     degree_pool = [i for i in range(m0) for _ in range(m0 - 1)]
-    if m0 == 1:
-        degree_pool = [0]
     for new in range(m0, n_nodes):
+        pool = degree_pool or [0]
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(degree_pool[rng.integers(0, len(degree_pool))])
+            targets.add(pool[rng.integers(0, len(pool))])
         for t in sorted(targets):
             edges.append((t, new))
             degree_pool.append(t)

@@ -18,6 +18,9 @@ the same host conditions. Measured per tree:
   on the 9-node star), the median of 5 repeats of 2000 calls;
 - `reproduce_all_s`: `pinnet reproduce <family> --out DIR` for the seven
   families fig2 ... fig9 in one process, summary artifacts;
+- `sweep_op_s`: one operation of perfbench's `sweep_ba` at seed 0, `pinnet
+  sweep fig8b --vary epsilon` over its twelve gains at T = 2 through
+  `cli.main` into a fresh temporary directory; the median of 5;
 - `design_query_us`: one controller-design query of perfbench's `design_ba`,
   built as there from seed 1: the eight queries pin the smallest-degree half
   or the three hubs of scale-free graphs on 30, 39, 33 and 36 nodes (m0 = m =
@@ -49,8 +52,11 @@ BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H, REPEATS = 2000, 5e-4, 5
 DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
+SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
+SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
+              ",".join(repr(g) for g in SWEEP_GAINS), "--T", "2.0"]
 # The rows with one number per tree and round.
-SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "design_query_us", "graph_build_us")
+SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us")
 
 
 def _median_time(fn, repeats: int = REPEATS) -> float:
@@ -101,18 +107,28 @@ def measure() -> dict:
     calls()
     rhs_us = 1e6 * _median_time(calls) / STEPS
 
+    def cli(argv):
+        with open(os.devnull, "w") as sink:
+            stdout, sys.stdout = sys.stdout, sink
+            try:
+                code = main(argv)
+            finally:
+                sys.stdout = stdout
+        if code != 0:
+            raise RuntimeError(f"pinnet {' '.join(argv[:2])} exited {code}")
+
     with tempfile.TemporaryDirectory() as out:
         start = time.perf_counter()
         for family in FAMILIES:
-            with open(os.devnull, "w") as sink:
-                stdout, sys.stdout = sys.stdout, sink
-                try:
-                    code = main(["reproduce", family, "--out", str(Path(out, family))])
-                finally:
-                    sys.stdout = stdout
-            if code != 0:
-                raise RuntimeError(f"pinnet reproduce {family} exited {code}")
+            cli(["reproduce", family, "--out", str(Path(out, family))])
         reproduce_s = time.perf_counter() - start
+
+    def sweep_op():
+        with tempfile.TemporaryDirectory() as out:
+            cli(SWEEP_ARGV + ["--out", out])
+
+    sweep_op()
+    sweep_s = _median_time(sweep_op)
 
     rng = np.random.Generator(np.random.PCG64(DESIGN_SEED))
     queries = []
@@ -141,7 +157,7 @@ def measure() -> dict:
     graphs()
     graph_us = 1e6 * _median_time(graphs) / len(queries)
     return {"rk4_step_us": step_us, "rhs_us": rhs_us, "reproduce_all_s": reproduce_s,
-            "design_query_us": design_us, "graph_build_us": graph_us}
+            "sweep_op_s": sweep_s, "design_query_us": design_us, "graph_build_us": graph_us}
 
 
 def _worker(src: str) -> dict:
@@ -153,7 +169,10 @@ def _worker(src: str) -> dict:
 
 
 def _summary(values: list) -> dict:
-    return {"runs": [round(v, 2) for v in values], "median": round(statistics.median(values), 2)}
+    def sig(v):  # four significant digits
+        return float(f"{v:.4g}")
+
+    return {"runs": [sig(v) for v in values], "median": sig(statistics.median(values))}
 
 
 def main(argv=None) -> int:
@@ -190,6 +209,8 @@ def main(argv=None) -> int:
                       f"repeats of {STEPS} calls",
             "reproduce_all_s": "pinnet reproduce of " + ", ".join(FAMILIES)
                                + " in one process, summary artifacts",
+            "sweep_op_s": "sweep_ba's seed-0 operation, pinnet " + " ".join(SWEEP_ARGV)
+                          + f" through cli.main into a temporary directory; median of {REPEATS}",
             "design_query_us": f"design_ba's eight seed-{DESIGN_SEED} queries (graph build, "
                                f"min_uniform_gain, schur_feasible, controlled_spectrum's "
                                f"lambda_max); median of {REPEATS} passes / 8",
