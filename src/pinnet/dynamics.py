@@ -52,10 +52,11 @@ RK4_STABILITY_SPAN = 2.5
 class NodeDynamics:
     """Autonomous isolated-node vector field with its Jacobian.
 
-    `bind(x, out)` takes two C-contiguous (M, n) arrays and returns a kernel,
-    called with no argument, that writes f of each row of x, as x holds at
-    call time, into the same row of out; the views it needs are made once,
-    at binding. `jacobian(x)` takes a single (n,) state. `lipschitz` is the
+    `bind(x, out)` takes two C-contiguous (n, M) arrays, one plane per state
+    component with one column per node state, and returns a kernel, called
+    with no argument, that writes f of each column of x, as x holds at call
+    time, into the same column of out; the views it needs are made once, at
+    binding. `jacobian(x)` takes a single (n,) state. `lipschitz` is the
     stiffness estimate used by the integrator guard.
     """
 
@@ -100,13 +101,13 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def bind(x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
-        dx, dy, dz = out[:, 0], out[:, 1], out[:, 2]
+        x1, x2, x3 = x
+        dx, dy, dz = out
         # The linear constants tiled to x's shape: one contiguous multiply
-        # forms all three linear terms (a broadcast (3,) row is slower).
-        constants = np.tile(linear, (len(x), 1))
+        # forms all three linear terms (a broadcast (3, 1) column is slower).
+        constants = np.repeat(linear[:, None], x.shape[1], axis=1)
         terms = np.empty_like(constants)
-        cx, cy, bz = terms[:, 0], terms[:, 1], terms[:, 2]
+        cx, cy, bz = terms
 
         def field() -> None:
             # The same products and sums, in the same order, as the formulas
@@ -158,9 +159,9 @@ class NetworkSystem:
             raise ContractViolationError("gamma must be a length-n 0/1 vector")
         if self.target.shape != (n,):
             raise ContractViolationError(f"target must have shape ({n},)")
-        f_s = np.empty((1, n))
-        self.dynamics.bind(np.ascontiguousarray(self.target[None]), f_s)()
-        resid = float(np.linalg.norm(f_s[0]))
+        f_s = np.empty((n, 1))
+        self.dynamics.bind(np.ascontiguousarray(self.target[:, None]), f_s)()
+        resid = float(np.linalg.norm(f_s[:, 0]))
         if resid > 1e-3:
             raise ContractViolationError(
                 f"target is not an equilibrium of the node field (|f(s)|={resid:.3g})"
@@ -180,62 +181,81 @@ class SimulationResult:
     error_metric: np.ndarray
 
 
-def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
-         out: np.ndarray) -> Callable[[], np.ndarray]:
-    """rhs(): f(x_i) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)
-    for every node row i of the (B, N, n) batch X into `out`, member b under plans[b].
+def _pad(planes: np.ndarray, plans: Sequence[PinningPlan]) -> tuple[np.ndarray, list]:
+    """The (n, N, B) member planes and their plans, padded to a multiple of n members.
 
-    X and `out` are C-contiguous (B, N, n) arrays that rhs reads and writes
-    in place on every call; the views into them, and the field's binding to
-    X and `out` as (B*N, n) row arrays, are made here, once.
-    Coupling and feedback touch only the coupled columns j (gamma_j = 1):
+    Each padding column is a copy of the last member's state and plan, so it
+    runs exactly as that member does and goes non-finite only with it. The
+    returned planes are C-contiguous.
+    """
+    n, _, B = planes.shape
+    index = np.concatenate([np.arange(B), np.full(-B % n, B - 1)])
+    return np.ascontiguousarray(planes[..., index]), [plans[b] for b in index]
+
+
+def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
+         out: np.ndarray) -> Callable[[], None]:
+    """rhs(): f(x_i) + c * sum_j A_ij Gamma x_j - c * eps_i * Gamma (x_i - s)
+    for every node i of every member of X into `out`, member b under plans[b].
+
+    X and `out` are C-contiguous (n, N, B) component planes, member b in
+    column b and B a multiple of n; rhs reads and writes them in place on
+    every call, and the views into them and the field's binding to them as
+    (n, N*B) planes are made here, once.
+    Coupling and feedback touch only the coupled planes j (gamma_j = 1):
     out_j = f_j + c * (A X)_j - (c * eps) * (X_j - s_j), the operations of
     f + c (A X) Gamma - c eps Gamma (X - s) in the same order, less the exact
-    products by Gamma. Both products of every coupled column come from one
-    multiply: A X fills the first n columns of a (B, N, n + |J|) block and
-    X_j - s_j its last |J| (J the coupled columns), and the block is scaled
-    row by row by c and c * eps. A member with c = 0 reads neither product,
-    so an overflowing A X cannot make them 0 * inf = NaN; one with no pinned
-    node adds exact zeros. So a member's arithmetic does not depend on its
-    batch mates.
+    products by Gamma. (A X)_j is one matmul per coupled plane, each GEMM
+    an (N, N) @ (N, n) product of n member columns: the call shape of one
+    member's (N, n) state, which gives every column the bits of that
+    member's own product. Both products of every coupled plane come from
+    one multiply of a (2, |J|, N, B) block (J the coupled planes) holding
+    (A X)_j and X_j - s_j, scaled by c and c * eps. A member with c = 0
+    reads neither product, so an overflowing A X cannot make them
+    0 * inf = NaN; one with no pinned node adds exact zeros. So a member's
+    arithmetic does not depend on its batch mates.
     """
+    B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
+    if X.shape != (n, N, B) or out.shape != X.shape or B % n:
+        raise ContractViolationError(
+            f"the RHS takes (n, N, B) planes with B a multiple of n = {n}, "
+            f"got {X.shape} and {out.shape} for {B} plans"
+        )
     if not (X.flags.c_contiguous and out.flags.c_contiguous):
         raise ContractViolationError("the RHS binds views: X and out must be C-contiguous")
-    B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
+    field = sys.dynamics.bind(X.reshape(n, -1), out.reshape(n, -1))
     J = np.flatnonzero(sys.gamma)
-    # Per node row of the flattened (B*N, n) batch: c and c * eps_i.
     c = np.array([p.coupling_strength for p in plans])
-    c_eps = (c[:, None] * np.array([p.gains for p in plans], dtype=float)).ravel()
-    # The rows that take coupling: all, or those of each member with c != 0.
+    # The member columns that take coupling: all, or each with c != 0 alone.
     coupled = np.flatnonzero(c)
-    ranges = [slice(None)] if len(coupled) == B else [slice(b * N, (b + 1) * N) for b in coupled]
-    # The product block and its row constants: c under A X, c * eps under X - s.
-    width = n + len(J)
-    products, scale = np.zeros((B, N, width)), np.empty((B * N, width))
-    scale[:, :n] = np.repeat(c, N)[:, None]
-    scale[:, n:] = c_eps[:, None]
-    A, AX = sys.coupling, products[..., :n]
-    rows, out_rows, prod_rows = X.reshape(-1, n), out.reshape(-1, n), products.reshape(-1, width)
-    field = sys.dynamics.bind(rows, out_rows)
-    # Per coupled column: the views X_j and its slot X_j - s_j, and s_j as a
-    # 0-d array; per coupled column and row range: the views into out,
-    # c * (A X)_j and (c * eps) * (X_j - s_j).
-    offsets = [(rows[:, j], prod_rows[:, n + k], np.array(sys.target[j]))
-               for k, j in enumerate(J)]
-    terms = [(out_rows[r, j], prod_rows[r, j], prod_rows[r, n + k])
+    ranges = [slice(None)] if len(coupled) == B else [slice(b, b + 1) for b in coupled]
+    # The product block and its constants: c under A X_j, c * eps under X_j - s_j.
+    products, scale = np.empty((2, len(J), N, B)), np.empty((2, len(J), N, B))
+    scale[0] = c
+    scale[1] = c * np.array([p.gains for p in plans], dtype=float).T
+
+    def groups(plane):  # an (N, B) plane as B/n (N, n) matrices of n members each
+        return plane.reshape(N, B // n, n).transpose(1, 0, 2)
+
+    A = sys.coupling
+    # Per coupled plane: its member groups and those of (A X)_j, X_j and its
+    # slot for X_j - s_j with s_j as a 0-d array; per coupled plane and column
+    # range: the views into out, c * (A X)_j and (c * eps) * (X_j - s_j).
+    planes = [(groups(X[j]), groups(products[0, k]), X[j], products[1, k], np.array(sys.target[j]))
+              for k, j in enumerate(J)]
+    terms = [(out[j][:, r], products[0, k][:, r], products[1, k][:, r])
              for k, j in enumerate(J) for r in ranges]
     multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
-    def rhs() -> np.ndarray:
+    def rhs() -> None:
         field()
-        matmul(A, X, AX)
-        for x_col, slot, s_j in offsets:
-            subtract(x_col, s_j, slot)
-        multiply(prod_rows, scale, prod_rows)
+        for x_groups, ax_groups, x_j, slot, s_j in planes:
+            matmul(A, x_groups, ax_groups)
+            subtract(x_j, s_j, slot)
+        multiply(products, scale, products)
         for col, coupling, feedback in terms:
             add(col, coupling, col)
             subtract(col, feedback, col)
-        return out
 
     return rhs
 
@@ -271,9 +291,9 @@ def integrate_batch(
             f"h={h!r} * record_every={record_every}"
         )
     shape = (len(plans), sys.n_nodes, sys.dynamics.dimension)
-    X = np.array(X0, dtype=float, order="C")
-    if X.shape != shape:
-        raise ContractViolationError(f"initial states shape {X.shape}, expected {shape}")
+    X0 = np.asarray(X0, dtype=float)
+    if X0.shape != shape:
+        raise ContractViolationError(f"initial states shape {X0.shape}, expected {shape}")
     if any(p.n_nodes != sys.n_nodes for p in plans):
         raise ContractViolationError(f"every plan must be on the system's {sys.n_nodes} nodes")
 
@@ -295,25 +315,26 @@ def integrate_batch(
     states = np.empty(times.shape + shape) if record_states else None
     errors = np.empty(times.shape + shape[:1])
     out: list = [None] * len(plans)
-    live = np.arange(len(plans))  # members still integrating
+    live = np.arange(len(plans))  # members still integrating, in state columns 0, 1, ...
 
-    def buffers(X, live):
-        # k, the stage state, the weighted sum k1 + 2 k2 + 2 k3 + k4 (formed
-        # in the same order as X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
-        # the RHS bound to X -> ksum and to stage -> k, and the error
-        # record's scratch.
+    def buffers(planes, live):
+        # The state X as (n, N, B) planes, members innermost and padded (see
+        # _rhs and _pad), its flat view, k, the stage state, the weighted sum
+        # k1 + 2 k2 + 2 k3 + k4 (formed in the same order as
+        # X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4)), the RHS bound to
+        # X -> ksum and to stage -> k, and the error record's scratch.
+        X, members = _pad(planes, [plans[b] for b in live])
         k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
-        members = [plans[b] for b in live]
-        return (k, stage, ksum, _rhs(sys, members, X, ksum), _rhs(sys, members, stage, k),
-                np.empty_like(X), np.empty(X.shape[:2]), np.empty(X.shape[:1]))
+        return (X, X.reshape(-1), k, stage, ksum, _rhs(sys, members, X, ksum),
+                _rhs(sys, members, stage, k), np.empty_like(X), np.empty(X.shape[1:]),
+                np.empty(X.shape[2:]))
 
-    k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X, live)
-    flat = X.reshape(-1)  # a view: X is C-contiguous
+    X, flat, k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X0.T, live)
     # The step's scalars as 0-d float64 arrays: cheaper ufunc operands than
     # Python floats, with the same arithmetic.
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
     multiply, add, subtract, dot = np.multiply, np.add, np.subtract, np.dot
-    target = sys.target
+    target = sys.target[:, None, None]
     # Overflow is handled explicitly via the finiteness check, so numpy's
     # warnings would only be noise on a member that is about to be dropped.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,31 +359,34 @@ def integrate_batch(
                 add(X, ksum, X)
                 # A finite sum of squares proves every entry finite; only a
                 # non-finite one (an entry gone non-finite, or finite entries
-                # whose squares or their sum overflow) needs the per-member
-                # test.
+                # whose squares or their sum overflow) needs the per-column
+                # test. Padding columns are formed again from the members left.
                 if not math.isfinite(dot(flat, flat)):
-                    ok = np.all(np.isfinite(X), axis=(1, 2))
+                    ok = np.all(np.isfinite(X), axis=(0, 1))
                     if not ok.all():
+                        ok = ok[:len(live)]
                         for b in live[~ok]:
                             out[b] = DivergenceError(step * h)
-                        X, live = X[ok], live[ok]
+                        keep = np.flatnonzero(ok)
+                        live = live[keep]
                         if not len(live):
                             return out
-                        k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X, live)
-                        flat = X.reshape(-1)
+                        X, flat, k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = (
+                            buffers(X[..., keep], live))
             if step % record_every == 0:
                 rec = step // record_every
                 times[rec] = step * h
                 if record_states:
-                    states[rec, live] = X
+                    states[rec, live] = X[..., :len(live)].T
                 # Each member's error max_i |x_i - s|, the largest Euclidean
-                # node deviation from the target.
+                # node deviation from the target, its squares summed
+                # (d_0^2 + d_1^2) + d_2^2 + ... as the (N, n) sum over rows does.
                 subtract(X, target, diff)
                 multiply(diff, diff, diff)
-                add.reduce(diff, -1, None, node_err)
+                add.reduce(diff, 0, None, node_err)
                 np.sqrt(node_err, node_err)
-                np.maximum.reduce(node_err, -1, None, err)
-                errors[rec, live] = err
+                np.maximum.reduce(node_err, 0, None, err)
+                errors[rec, live] = err[:len(live)]
     for b in live:
         b_states = states[:, b] if record_states else None
         out[b] = SimulationResult(times, b_states, errors[:, b])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -259,8 +260,12 @@ def sweep(
         raise ScenarioDefinitionError(f"can only vary 'epsilon' or 'c', got {vary!r}")
     if not values:
         raise ScenarioDefinitionError("sweep needs at least one value")
-    if any(v <= 0 for v in values):
-        raise ScenarioDefinitionError("sweep values must be positive")
+    for i, v in enumerate(values):
+        # NaN fails every comparison, so the test asks for what is allowed.
+        if not (math.isfinite(v) and v > 0):
+            raise ScenarioDefinitionError(
+                f"sweep values must be finite and positive, got {v!r} at position {i}"
+            )
     derived = []
     for i, v in enumerate(values):
         plan = base.plan

@@ -6,12 +6,13 @@ are what the tests compare it against or drive it with:
 
 - ``field_at``: the node field at one state or at each row of a batch;
 - ``linear_field``: the linear node field dx = F x, whose exact solutions
-  and modes the tests know;
+  and modes the tests know, formed column by column so that a state's
+  field does not depend on where it sits in the planes;
 - ``chen_reference_field``: the chaotic node field with its earlier kernel,
-  ten ufunc calls on the columns, each linear term a product by a 0-d
+  ten ufunc calls on the component planes, each linear term a product by a 0-d
   constant; ``chen_field``'s kernel must give the same bytes;
 - ``network_rhs``: one evaluation of the network's right-hand side at a
-  single (N, n) state;
+  single (N, n) state, through the planes the integrator holds;
 - ``sync_error``: the error measure that ``integrate_batch`` records;
 - ``integrate_one``: a batch of one, raising its DivergenceError;
 - ``mode_matrix`` and ``modal_equivalence_check``: the mode systems and the
@@ -31,6 +32,7 @@ from pinnet.dynamics import (
     NetworkSystem,
     NodeDynamics,
     SimulationResult,
+    _pad,
     _rhs,
     chen_field,
     integrate_batch,
@@ -43,10 +45,10 @@ from pinnet.spectral import eig_symmetric
 def field_at(dynamics: NodeDynamics, x: np.ndarray) -> np.ndarray:
     """f at an (n,) state, or at each row of an (M, n) batch, through a fresh binding."""
     x = np.asarray(x, dtype=float)
-    rows = np.ascontiguousarray(x.reshape(-1, dynamics.dimension))
-    out = np.empty(rows.shape)
-    dynamics.bind(rows, out)()
-    return out.reshape(x.shape)
+    planes = np.ascontiguousarray(x.reshape(-1, dynamics.dimension).T)
+    out = np.empty(planes.shape)
+    dynamics.bind(planes, out)()
+    return out.T.reshape(x.shape)
 
 
 def linear_field(F: np.ndarray) -> NodeDynamics:
@@ -58,8 +60,17 @@ def linear_field(F: np.ndarray) -> NodeDynamics:
     spectral_norm = math.sqrt(max(eig_symmetric(F.T @ F).lambda_max, 0.0))
 
     def bind(x: np.ndarray, out: np.ndarray):
+        # out_i = (F_i0 x_0 + F_i1 x_1) + ..., one elementwise call per term:
+        # a matmul over the planes sums a column in an order that depends on
+        # its position among them.
+        term = np.empty_like(x[0])
+
         def field():
-            np.matmul(x, F.T, out)
+            for i in range(n):
+                np.multiply(x[0], F[i, 0], out[i])
+                for j in range(1, n):
+                    np.multiply(x[j], F[i, j], term)
+                    np.add(out[i], term, out[i])
 
         return field
 
@@ -75,8 +86,8 @@ def chen_reference_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def bind(x: np.ndarray, out: np.ndarray):
-        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
-        dx, dy, dz = out[:, 0], out[:, 1], out[:, 2]
+        x1, x2, x3 = x
+        dx, dy, dz = out
 
         def field():
             multiply(x3, b0, dy)
@@ -103,8 +114,10 @@ def network_rhs(sys: NetworkSystem, plan: PinningPlan, X: np.ndarray) -> np.ndar
         raise ContractViolationError(
             f"state shape {X.shape}, expected {(sys.n_nodes, sys.dynamics.dimension)}"
         )
-    X = np.ascontiguousarray(X[None])
-    return _rhs(sys, [plan], X, np.empty(X.shape))()[0]
+    planes, plans = _pad(X.T[..., None], [plan])
+    out = np.empty(planes.shape)
+    _rhs(sys, plans, planes, out)()
+    return out[..., 0].T
 
 
 def sync_error(states: np.ndarray, target: np.ndarray) -> float:

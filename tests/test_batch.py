@@ -8,11 +8,12 @@ import pytest
 import pinnet.harness
 from pinnet.cli import main
 from dynamics_oracle import field_at, integrate_one, linear_field, sync_error
-from pinnet.dynamics import NodeDynamics, integrate_batch
+from pinnet.dynamics import NetworkSystem, NodeDynamics, _pad, _rhs, integrate_batch
 from pinnet.errors import ContractViolationError, DivergenceError
 from pinnet.harness import build_system, initial_state, run_scenarios, sweep
 from pinnet.pinning import PinningPlan
 from pinnet.scenarios import get_scenario
+from pinnet.topology import barabasi_albert, coupling_matrix
 
 # The seed-0 gains of the benchmark's sweep_ba workload and their sync times.
 SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
@@ -155,6 +156,78 @@ def test_mixed_batch_matches_reference_solo_loop():
         assert np.array_equal(result.error_metric, errors)
 
 
+# Plans on the 20-node scale-free graph at h = 5e-4: uncoupled (fig6a),
+# coupled but unpinned, leaf-, hub- and mixed-pinned.
+BA_PLANS = ("fig7", "fig8b", "fig6a", "fig9a", "fig9b", "fig9c", "fig6b")
+
+
+@pytest.mark.parametrize("B", [1, 2, 4, 5, 7])
+def test_batch_sizes_match_reference_solo_loop(B):
+    # B members sit in n-member GEMM groups padded to a multiple of n = 3:
+    # one to three groups, with zero, one or two padding columns.
+    sys = scenario_system("fig8b")[0]
+    plans = [scenario_system(name)[1] for name in BA_PLANS[:B]]
+    X0 = np.array([initial_state(sys.target, sys.n_nodes, 10 + b) for b in range(B)])
+    h, T = 5e-4, 0.05
+    batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
+    for plan, x0, result in zip(plans, X0, batch):
+        states, errors = reference_rk4(sys, plan, x0, h, T, 5)
+        assert np.array_equal(result.states, states)
+        assert np.array_equal(result.error_metric, errors)
+
+
+# The shipped star, cluster and scale-free graphs, and scale-free graphs of 2 to 60 nodes.
+COUPLING_GRAPHS = (
+    [pytest.param(name, get_scenario(name).topology.build(), id=name)
+     for name in ("fig2a", "fig5a", "fig8b")]
+    + [pytest.param(f"ba{n}", barabasi_albert(n, min(3, n - 1), min(3, n - 1), 1000 + n), id=f"ba{n}")
+       for n in range(2, 61)]
+)
+
+
+@pytest.mark.parametrize("name, graph", COUPLING_GRAPHS)
+def test_grouped_coupling_product_equals_each_members_own(name, graph):
+    # The RHS forms (A X)_j of n members at a time, as one (N, N) @ (N, n)
+    # GEMM over their j-th components: the call shape of one member's own
+    # A @ X_b. With a zero field, c = 1 and no pin, the RHS is that product.
+    rng = np.random.default_rng(len(name) * 1000 + graph.n_nodes)
+    n, N, B = 3, graph.n_nodes, 9
+    zero = NodeDynamics(n, lambda x, out: lambda: out.fill(0.0), lambda x: np.zeros((n, n)), 1.0)
+    sys = NetworkSystem(zero, coupling_matrix(graph), np.ones(n), np.zeros(n))
+    X = rng.uniform(-40.0, 40.0, (B, N, n))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.1] *= 1e150
+    planes, plans = _pad(X.T, [PinningPlan(N, (0.0,) * N, 1.0)] * B)
+    out = np.empty_like(planes)
+    _rhs(sys, plans, planes, out)()
+    for b in range(B):
+        own = sys.coupling @ X[b]
+        assert np.array_equal(out[..., b].T, own), (
+            f"{name}: member {b}'s coupling product differs from its own A @ X_b; a "
+            "column's result must not depend on its position in the GEMM or on its neighbours"
+        )
+
+
+@pytest.mark.parametrize("B", [4, 5], ids=["width-6-to-3", "width-6-padding-re-formed"])
+def test_divergence_of_the_padded_member(B):
+    # Padding copies the last member, which blows up: its padding goes with
+    # it, raises nothing of its own, and is formed again from the members
+    # left (4 -> 3 members takes the width from 6 to 3; 5 -> 4 keeps it at 6).
+    sys, leaf_plan = scenario_system("fig2b")
+    hub_plan = scenario_system("fig2a")[1]
+    plans = [leaf_plan, hub_plan, PinningPlan(9, (0.0,) * 9, 0.0), leaf_plan][:B - 1] + [hub_plan]
+    X0 = np.array([initial_state(sys.target, 9, seed) for seed in range(1, B + 1)])
+    X0[-1] += 1e4
+    h, T = 5e-4, 0.25
+    batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
+    assert isinstance(batch[-1], DivergenceError)
+    assert batch[-1].time == first_non_finite_time(sys, plans[-1], X0[-1], h, T)
+    for plan, x0, result in zip(plans[:-1], X0, batch):
+        states, errors = reference_rk4(sys, plan, x0, h, T, 5)
+        assert np.array_equal(result.states, states)
+        assert np.array_equal(result.error_metric, errors)
+
+
 def test_start_state_memory_layout_does_not_matter():
     # The RHS reads and writes views bound once to the state buffers, so the
     # integrator must hold the state C-contiguous whatever layout X0 has.
@@ -231,12 +304,15 @@ def test_uncoupled_member_ignores_an_overflowing_coupling_product():
     assert all(np.array_equal(x, X0[0]) for x in result.states)
 
 
-@pytest.mark.parametrize("members", [[0, 1, 2, 3], [1, 2]], ids=["mixed-c", "all-coupled"])
+@pytest.mark.parametrize("members", [[0, 1, 2, 3], [1, 2], [1, 0]],
+                         ids=["mixed-c", "all-coupled", "c0-in-the-padding-group"])
 def test_two_coupled_columns_match_reference_solo_loop(members):
     # Gamma = (1, 0, 1) under a linear field on the 9-node star: both coupled
     # columns share the RHS's product block. The c = 0 members take no term;
     # the first starts at 1e308, where the star's A @ X overflows though the
-    # state stays finite. One coupled member pins no node.
+    # state stays finite. One coupled member pins no node. The last member
+    # is padded: with c = 0 ("mixed-c", "c0-in-the-padding-group"), its
+    # padding takes no term either.
     rng = np.random.default_rng(7)
     F = rng.uniform(-0.05, 0.05, (3, 3))
     target = rng.uniform(-1.0, 1.0, 3)

@@ -194,6 +194,15 @@ def test_bad_comma_list_exit_2(argv, capsys):
     assert f"error: {argv[-2]} expects comma-separated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vary", ["c", "epsilon"])
+def test_sweep_non_finite_value_exits_2_naming_it(vary, tmp_path, capsys):
+    # nan <= 0 is false: the value must be refused as such, not as a bad gain.
+    argv = ["sweep", "fig2b", "--vary", vary, "--values", "1,nan", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "sweep values must be finite and positive, got nan at position 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_unknown_name_exits_2(capsys):
     assert main(["simulate", "fig99"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -122,6 +122,7 @@ class TestChenField:
         x = rng.uniform(-50.0, 50.0, (rows, 3))
         special = rng.random((rows, 3)) < rng.random()
         x[special] = rng.choice(CHEN_SPECIALS, int(special.sum()))
+        x = np.ascontiguousarray(x.T)  # the field takes (3, rows) planes
         out, expected = np.empty_like(x), np.empty_like(x)
         with np.errstate(all="ignore"):
             chen_field(p).bind(x, out)()
@@ -135,13 +136,13 @@ def test_bound_kernel_reads_the_state_at_call_time(dyn, rng):
     # The integrator binds the field to its buffers once and rewrites the
     # state in place between calls: each call must see the values of that
     # moment, as a fresh binding does.
-    x, out = rng.uniform(-5, 5, (7, 3)), np.empty((7, 3))
+    x, out = rng.uniform(-5, 5, (3, 7)), np.empty((3, 7))
     kernel = dyn.bind(x, out)
     kernel()
     before = out.copy()
-    x[...] = rng.uniform(-5, 5, (7, 3))
+    x[...] = rng.uniform(-5, 5, (3, 7))
     kernel()
-    assert np.array_equal(out, field_at(dyn, x))
+    assert np.array_equal(out, field_at(dyn, x.T).T)
     assert not np.array_equal(out, before)
 
 

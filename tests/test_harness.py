@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -276,6 +277,12 @@ class TestSweep:
             sweep(base, "epsilon", [1.0, -2.0], simulate=False)
         with pytest.raises(ScenarioDefinitionError):
             sweep(base, "h", [1.0], simulate=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf, 0.0])
+    def test_refuses_a_non_finite_or_nonpositive_value_naming_it(self, bad):
+        with pytest.raises(ScenarioDefinitionError,
+                           match=rf"finite and positive, got {bad!r} at position 1$"):
+            sweep(get_scenario("fig2b"), "epsilon", [1.0, bad, 2.0], simulate=False)
 
     def test_zero_gain_plan_cannot_sweep_epsilon(self):
         with pytest.raises(ScenarioDefinitionError):
