@@ -10,13 +10,13 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .errors import (
-    DivergenceError, PinnetError, ScenarioDefinitionError, checked, field, read_json,
+    ComparisonDefinitionError, DivergenceError, PinnetError, ScenarioDefinitionError, checked,
+    field, read_json,
 )
-from .harness import (
-    ComparisonReport, run_comparison, run_scenarios, sweep, write_report,
-)
+from .harness import run_scenarios, sweep, write_report
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
 from .spectral import controlled_spectrum, eig_symmetric
@@ -82,8 +82,11 @@ def _comma_list(flag: str, text: str, kind: type) -> list:
         ) from exc
 
 
-def _finish(report: ComparisonReport) -> int:
-    """Print the report table; exit with EXIT_DIVERGED if any row diverged."""
+def _run(scenarios: list[Scenario], args, stem: Optional[str], simulate: bool = True) -> int:
+    """Run the scenarios with their artifacts and, unless stem is None, the report
+    <stem>.csv and .txt in args.out; print the table, exit 3 if any row diverged."""
+    rows = run_scenarios(scenarios, args.out, simulate, args.full)
+    report = write_report(rows, None if stem is None else args.out, stem)
     print(report.to_table_text(), end="")
     return EXIT_DIVERGED if any(r.outcome == "diverged" for r in report.rows) else EXIT_OK
 
@@ -144,9 +147,7 @@ def _cmd_pin(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _apply_overrides(_load_scenario(args.scenario), args)
-    rows = run_scenarios([scenario], out_dir=args.out, full_states=args.full)
-    return _finish(ComparisonReport(tuple(rows)))
+    return _run([_apply_overrides(_load_scenario(args.scenario), args)], args, None)
 
 
 def _cmd_compare(args) -> int:
@@ -156,16 +157,28 @@ def _cmd_compare(args) -> int:
     else:
         refs = checked(spec, list, "comparison document")
     scenarios = []
-    for ref in refs:
-        sc = Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(str(ref))
-        scenarios.append(_apply_overrides(sc, args))
-    return _finish(run_comparison(scenarios, out_dir=args.out, full_states=args.full))
+    for k, ref in enumerate(refs):  # an inline scenario, a shipped name or a file path
+        try:
+            scenario = Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(
+                checked(ref, str, "an entry that is not an object"))
+        except (PinnetError, OSError) as exc:
+            raise type(exc)(f"{args.scenarios}: scenarios[{k}]: {exc}") from exc
+        scenarios.append(_apply_overrides(scenario, args))
+    if len(scenarios) < 2:
+        raise ComparisonDefinitionError(
+            f"{args.scenarios}: comparison needs at least two scenarios")
+    for s in scenarios[1:]:
+        if s.topology != scenarios[0].topology:
+            raise ComparisonDefinitionError(
+                f"{args.scenarios}: scenario {s.name!r} uses a different topology "
+                f"than {scenarios[0].name!r}")
+    return _run(scenarios, args, "comparison")
 
 
 def _cmd_sweep(args) -> int:
     scenario = _apply_overrides(_load_scenario(args.scenario), args)
     values = _comma_list("--values", args.values, float)
-    return _finish(sweep(scenario, args.vary, values, out_dir=args.out, full_states=args.full))
+    return _run(sweep(scenario, args.vary, values), args, "sweep")
 
 
 def _cmd_reproduce(args) -> int:
@@ -175,8 +188,7 @@ def _cmd_reproduce(args) -> int:
             f"unknown family {args.family!r}; choose from {', '.join(sorted(FAMILIES))}"
         )
     scenarios = [_apply_overrides(get_scenario(name), args) for name in names]
-    rows = run_scenarios(scenarios, args.out, not args.cf_only, args.full)
-    return _finish(write_report(rows, args.out, f"{args.family}.report"))
+    return _run(scenarios, args, f"{args.family}.report", simulate=not args.cf_only)
 
 
 def build_parser() -> argparse.ArgumentParser:

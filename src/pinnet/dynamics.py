@@ -213,7 +213,8 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     (A X)_j and X_j - s_j, scaled by c and c * eps. A member with c = 0
     reads neither product, so an overflowing A X cannot make them
     0 * inf = NaN; one with no pinned node adds exact zeros. So a member's
-    arithmetic does not depend on its batch mates.
+    arithmetic does not depend on its batch mates. Members with c != 0 come
+    first, so the coupled columns are one range; other orders are refused.
     """
     B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
     if X.shape != (n, N, B) or out.shape != X.shape or B % n:
@@ -226,9 +227,10 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     field = sys.dynamics.bind(X.reshape(n, -1), out.reshape(n, -1))
     J = np.flatnonzero(sys.gamma)
     c = np.array([p.coupling_strength for p in plans])
-    # The member columns that take coupling: all, or each with c != 0 alone.
-    coupled = np.flatnonzero(c)
-    ranges = [slice(None)] if len(coupled) == B else [slice(b, b + 1) for b in coupled]
+    # The member columns that take coupling: the prefix of those with c != 0.
+    coupled = np.count_nonzero(c)
+    if c[coupled:].any():
+        raise ContractViolationError("the RHS takes the members with c != 0 first")
     # The product block and its constants: c under A X_j, c * eps under X_j - s_j.
     products, scale = np.empty((2, len(J), N, B)), np.empty((2, len(J), N, B))
     scale[0] = c
@@ -239,12 +241,12 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
 
     A = sys.coupling
     # Per coupled plane: its member groups and those of (A X)_j, X_j and its
-    # slot for X_j - s_j with s_j as a 0-d array; per coupled plane and column
-    # range: the views into out, c * (A X)_j and (c * eps) * (X_j - s_j).
+    # slot for X_j - s_j with s_j as a 0-d array; per coupled plane: the coupled
+    # columns of out, c * (A X)_j and (c * eps) * (X_j - s_j), if there are any.
     planes = [(groups(X[j]), groups(products[0, k]), X[j], products[1, k], np.array(sys.target[j]))
               for k, j in enumerate(J)]
-    terms = [(out[j][:, r], products[0, k][:, r], products[1, k][:, r])
-             for k, j in enumerate(J) for r in ranges]
+    terms = [(out[j][:, :coupled], products[0, k][:, :coupled], products[1, k][:, :coupled])
+             for k, j in enumerate(J) if coupled]
     multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
     def rhs() -> None:
@@ -315,7 +317,9 @@ def integrate_batch(
     states = np.empty(times.shape + shape) if record_states else None
     errors = np.empty(times.shape + shape[:1])
     out: list = [None] * len(plans)
-    live = np.arange(len(plans))  # members still integrating, in state columns 0, 1, ...
+    # The members still integrating, in state columns 0, 1, ...: those with
+    # c != 0 first, as _rhs takes them, each side in the order given.
+    live = np.argsort([p.coupling_strength == 0.0 for p in plans], kind="stable")
 
     def buffers(planes, live):
         # The state X as (n, N, B) planes, members innermost and padded (see
@@ -329,7 +333,7 @@ def integrate_batch(
                 _rhs(sys, members, stage, k), np.empty_like(X), np.empty(X.shape[1:]),
                 np.empty(X.shape[2:]))
 
-    X, flat, k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X0.T, live)
+    X, flat, k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X0.T[..., live], live)
     # The step's scalars as 0-d float64 arrays: cheaper ufunc operands than
     # Python floats, with the same arithmetic.
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
@@ -395,8 +399,8 @@ def integrate_batch(
 
 def sync_time(result: SimulationResult, tol: float) -> Optional[float]:
     """Earliest recorded time after which the error stays below tol; None if never."""
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ContractViolationError(f"tol must be positive and finite, got {tol!r}")
     above = np.nonzero(result.error_metric >= tol)[0]
     if len(above) == 0:
         return float(result.times[0])

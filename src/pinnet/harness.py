@@ -26,7 +26,7 @@ from .dynamics import (
     mode_threshold,
     sync_time,
 )
-from .errors import ComparisonDefinitionError, DivergenceError, ScenarioDefinitionError
+from .errors import DivergenceError, ScenarioDefinitionError
 from .pinning import PinningPlan, cost, plan_to_dict
 from .scenarios import Scenario
 from .spectral import controlled_spectrum
@@ -37,7 +37,6 @@ __all__ = [
     "ComparisonReport",
     "initial_state",
     "run_scenarios",
-    "run_comparison",
     "write_report",
     "sweep",
 ]
@@ -124,12 +123,19 @@ def run_scenarios(
 ) -> list[ReportRow]:
     """One report row per scenario: analysis always, integration unless simulate=False.
 
-    Raises ScenarioDefinitionError when a realized cost disagrees with the
-    scenario's expected value; divergence is an outcome row, so sweeps keep
-    going. Each distinct topology's graph, system and sigma* are built once.
+    Raises ScenarioDefinitionError, before anything is built, when two
+    scenarios share a name (their artifacts would overwrite each other), and
+    when a realized cost disagrees with the scenario's expected value;
+    divergence is an outcome row, so sweeps keep going. Each distinct
+    topology's graph, system and sigma* are built once.
     Scenarios sharing the topology, h, T and record_every run in one
     integrate_batch call, each with the numbers and artifacts of its run alone.
     """
+    names = set()
+    for s in scenarios:
+        if s.name in names:
+            raise ScenarioDefinitionError(f"scenario name {s.name!r} is used twice")
+        names.add(s.name)
     networks, built, groups = {}, [], {}
     for i, s in enumerate(scenarios):
         if s.topology not in networks:
@@ -223,35 +229,9 @@ def write_report(
     return report
 
 
-def run_comparison(
-    scenarios: Sequence[Scenario],
-    out_dir: Optional[Path] = None,
-    simulate: bool = True,
-    full_states: bool = False,
-) -> ComparisonReport:
-    """Run several scenarios on the same topology and tabulate them together."""
-    if len(scenarios) < 2:
-        raise ComparisonDefinitionError("comparison needs at least two scenarios")
-    topo = scenarios[0].topology
-    for s in scenarios[1:]:
-        if s.topology != topo:
-            raise ComparisonDefinitionError(
-                f"scenario {s.name!r} uses a different topology than {scenarios[0].name!r}"
-            )
-    return write_report(
-        run_scenarios(scenarios, out_dir, simulate, full_states), out_dir, "comparison"
-    )
-
-
-def sweep(
-    base: Scenario,
-    vary: str,
-    values: Sequence[float],
-    out_dir: Optional[Path] = None,
-    simulate: bool = True,
-    full_states: bool = False,
-) -> ComparisonReport:
-    """Re-run a base scenario with its gain or coupling strength swept.
+def sweep(base: Scenario, vary: str, values: Sequence[float]) -> list[Scenario]:
+    """The base scenario with its gain ('epsilon') or coupling strength ('c')
+    set to each value in turn, for run_scenarios.
 
     Derived scenarios are named with a zero-padded position so name order
     equals value order in the report.
@@ -282,4 +262,4 @@ def sweep(
         derived.append(dataclasses.replace(
             base, name=f"{base.name}+{vary}{i:02d}={v:g}", plan=plan, expected_cf=None
         ))
-    return write_report(run_scenarios(derived, out_dir, simulate, full_states), out_dir, "sweep")
+    return derived

@@ -10,7 +10,7 @@ from pinnet.cli import main
 from dynamics_oracle import field_at, integrate_one, linear_field, sync_error
 from pinnet.dynamics import NetworkSystem, NodeDynamics, _pad, _rhs, integrate_batch
 from pinnet.errors import ContractViolationError, DivergenceError
-from pinnet.harness import build_system, initial_state, run_scenarios, sweep
+from pinnet.harness import build_system, initial_state, run_scenarios, sweep, write_report
 from pinnet.pinning import PinningPlan
 from pinnet.scenarios import get_scenario
 from pinnet.topology import barabasi_albert, coupling_matrix
@@ -62,7 +62,8 @@ def fig8b_sweep(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pinnet.harness, "integrate_batch", capture("batch"))
-        report = sweep(base, "epsilon", SWEEP_GAINS, out_dir=batched_dir)
+        rows = run_scenarios(sweep(base, "epsilon", SWEEP_GAINS), batched_dir)
+        report = write_report(rows, batched_dir, "sweep")
         mp.setattr(pinnet.harness, "integrate_batch", capture("solo"))
         solo_rows = [
             run_scenarios([derived_epsilon(base, i, g)], out_dir=solo_dir)[0]
@@ -112,7 +113,7 @@ def test_sweep_draws_its_shared_initial_state_once(monkeypatch):
     monkeypatch.setattr(pinnet.harness, "initial_state", spy)
     base = get_scenario("fig8b")
     base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=0.01))
-    sweep(base, "epsilon", SWEEP_GAINS)
+    run_scenarios(sweep(base, "epsilon", SWEEP_GAINS))
     assert seeds == [base.sim.init_seed]
 
 
@@ -304,6 +305,16 @@ def test_uncoupled_member_ignores_an_overflowing_coupling_product():
     assert all(np.array_equal(x, X0[0]) for x in result.states)
 
 
+def test_rhs_refuses_an_uncoupled_member_before_a_coupled_one():
+    # The coupled columns are one range, the members with c != 0 first;
+    # integrate_batch orders its members so.
+    sys = zero_field_star()
+    plans = [PinningPlan(9, (0.0,) * 9, c) for c in (1.0, 0.0, 1.0)]
+    planes = np.zeros((3, 9, 3))
+    with pytest.raises(ContractViolationError, match="c != 0 first"):
+        _rhs(sys, plans, planes, np.empty_like(planes))
+
+
 @pytest.mark.parametrize("members", [[0, 1, 2, 3], [1, 2], [1, 0]],
                          ids=["mixed-c", "all-coupled", "c0-in-the-padding-group"])
 def test_two_coupled_columns_match_reference_solo_loop(members):
@@ -416,7 +427,7 @@ def test_c_sweep_guard_failure_matches_solo_message():
     base = get_scenario("fig8b")
     base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=0.01))
     with pytest.raises(ContractViolationError) as batched:
-        sweep(base, "c", [6.0, 1000.0])
+        run_scenarios(sweep(base, "c", [6.0, 1000.0]))
     plan = dataclasses.replace(base.plan, c=1000.0)
     worst = dataclasses.replace(base, name="solo", plan=plan, expected_cf=None)
     with pytest.raises(ContractViolationError) as solo:

@@ -235,6 +235,27 @@ def test_compare_mixed_topology_exits_2(tmp_path, capsys):
     path = tmp_path / "cmp.json"
     path.write_text(json.dumps({"scenarios": ["fig2a", "fig5a"]}))
     assert main(["compare", str(path)]) == 2
+    assert (f"error: {path}: scenario 'fig5a' uses a different topology than 'fig2a'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("names", [[], ["fig2a"]])
+def test_compare_needs_two_scenarios_exits_2(names, tmp_path, capsys):
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"scenarios": names}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: comparison needs at least two scenarios" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_repeated_name_exits_2_writing_nothing(tmp_path, capsys):
+    twin = get_scenario("fig2b").to_dict()
+    twin["name"] = "fig2a"
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"scenarios": ["fig2a", twin]}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out"), "--T", "0.1"]) == 2
+    assert "error: scenario name 'fig2a' is used twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -319,7 +340,25 @@ def test_scenario_file_error_names_the_file(command, tmp_path, capsys):
     comparison.write_text(json.dumps({"scenarios": [str(path), "fig2a"]}))
     target = path if command == "simulate" else comparison
     assert main([command, str(target), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {path}: topology.n must be an integer, got 'abc'" in capsys.readouterr().err
+    # A comparison names its own file and the entry before the scenario file.
+    entry = "" if command == "simulate" else f"{comparison}: scenarios[0]: "
+    assert (f"error: {entry}{path}: topology.n must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"name": "x"}, "scenario.topology is missing"),
+    (5, "an entry that is not an object must be a string, got 5"),
+    (None, "an entry that is not an object must be a string, got None"),
+    ("fig99", "unknown scenario 'fig99'"),
+    ("no_such_file.json", "[Errno 2] No such file or directory: 'no_such_file.json'"),
+])
+def test_compare_bad_entry_names_the_file_and_position(entry, message, tmp_path, capsys):
+    path = tmp_path / "comparison.json"
+    path.write_text(json.dumps({"scenarios": ["fig2a", entry]}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: scenarios[1]: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -312,6 +312,12 @@ class TestSyncMetrics:
         with pytest.raises(ContractViolationError):
             sync_time(self._result([1.0]), 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_sync_time_refuses_non_finite_tol(self, tol):
+        # An error that never drops must not read as synchronized at t = 0.
+        with pytest.raises(ContractViolationError, match=rf"finite, got {tol!r}$"):
+            sync_time(self._result([1.0, 0.5, 0.2]), tol)
+
 
 class TestModeMatrix:
     def test_lambda_zero_gives_jacobian(self):

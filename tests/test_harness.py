@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 import pinnet.harness
 from conftest import mutated
-from pinnet.errors import ComparisonDefinitionError, PinnetError, ScenarioDefinitionError
+from pinnet.errors import PinnetError, ScenarioDefinitionError
 from pinnet.harness import (
     ComparisonReport,
     initial_state,
-    run_comparison,
     run_scenarios,
     sweep,
+    write_report,
 )
 from pinnet.scenarios import (
     FAMILIES, SCENARIOS, PlanSpec, Scenario, SimParams, TopologySpec, get_scenario,
@@ -216,23 +216,14 @@ class TestRunScenario:
         assert [r.cf for r in rows] == [EXPECTED_CFS[name] for name in names]
 
 
-class TestRunComparison:
-    def test_needs_two(self):
-        with pytest.raises(ComparisonDefinitionError):
-            run_comparison([get_scenario("fig2a")], simulate=False)
-
-    def test_rejects_mixed_topologies(self):
-        with pytest.raises(ComparisonDefinitionError):
-            run_comparison(
-                [get_scenario("fig2a"), get_scenario("fig5a")], simulate=False
-            )
-
+class TestComparisonReport:
+    # A comparison's refusals (fewer than two scenarios, mixed topologies)
+    # are checks on its input file, tested through the CLI in test_cli.py.
     def test_rows_sorted_and_written(self, tmp_path):
-        report = run_comparison(
-            [get_scenario("fig2b"), get_scenario("fig2a")],
-            out_dir=tmp_path,
-            simulate=False,
+        rows = run_scenarios(
+            [get_scenario("fig2b"), get_scenario("fig2a")], tmp_path, simulate=False
         )
+        report = write_report(rows, tmp_path, "comparison")
         assert [r.name for r in report.rows] == ["fig2a", "fig2b"]
         csv_text = (tmp_path / "comparison.csv").read_text()
         assert csv_text.splitlines()[0] == "name,cf,pinned,lambda_max,sigma_star,sync_time,outcome"
@@ -241,16 +232,27 @@ class TestRunComparison:
         assert "fig2b" in table and "not-simulated" in table
 
     def test_order_independent_content(self):
-        a = run_comparison([get_scenario("fig2a"), get_scenario("fig2b")], simulate=False)
-        b = run_comparison([get_scenario("fig2b"), get_scenario("fig2a")], simulate=False)
-        assert a == b
+        def report(names):
+            rows = run_scenarios([get_scenario(n) for n in names], simulate=False)
+            return write_report(rows, None, "comparison")
+
+        assert report(["fig2a", "fig2b"]) == report(["fig2b", "fig2a"])
+
+    def test_refuses_a_repeated_name_before_building(self, tmp_path, monkeypatch):
+        # Two runs named alike would write one fig2a.csv and one fig2a.meta.json,
+        # the second overwriting the first, and two fig2a rows in input order.
+        monkeypatch.setattr(TopologySpec, "build", lambda spec: pytest.fail("built"))
+        twin = dataclasses.replace(get_scenario("fig2b"), name="fig2a")
+        with pytest.raises(ScenarioDefinitionError, match="'fig2a' is used twice"):
+            run_scenarios([get_scenario("fig2a"), twin], tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestSweep:
     def test_epsilon_sweep_margin_check(self):
         base = get_scenario("fig2b")
-        report = sweep(base, "epsilon", [0.5, 1.2, 3.0], simulate=False)
-        lam = {r.name: r.lambda_max_controlled for r in report.rows}
+        rows = run_scenarios(sweep(base, "epsilon", [0.5, 1.2, 3.0]), simulate=False)
+        lam = {r.name: r.lambda_max_controlled for r in rows}
         names = sorted(lam)
         # 8/7 ~ 1.1429 separates the star margin: 1.2 and 3.0 clear it, 0.5 does not
         assert lam[names[0]] > -1.0
@@ -259,37 +261,38 @@ class TestSweep:
 
     def test_c_sweep_scales_cf_linearly(self):
         base = get_scenario("fig2b")
-        report = sweep(base, "c", [1.0, 2.0, 4.0], simulate=False)
-        cfs = [r.cf for r in sorted(report.rows, key=lambda r: r.name)]
+        rows = run_scenarios(sweep(base, "c", [1.0, 2.0, 4.0]), simulate=False)
+        cfs = [r.cf for r in sorted(rows, key=lambda r: r.name)]
         assert cfs == [12.0, 24.0, 48.0]
 
     def test_fig6_style_epsilon_sweep(self):
         base = get_scenario("fig6c")
-        report = sweep(base, "epsilon", [500.0, 1000.0], simulate=False)
-        cfs = [r.cf for r in sorted(report.rows, key=lambda r: r.name)]
+        rows = run_scenarios(sweep(base, "epsilon", [500.0, 1000.0]), simulate=False)
+        cfs = [r.cf for r in sorted(rows, key=lambda r: r.name)]
         assert cfs == [9000.0, 18000.0]
 
     def test_rejects_bad_values(self):
         base = get_scenario("fig2b")
         with pytest.raises(ScenarioDefinitionError):
-            sweep(base, "epsilon", [], simulate=False)
+            sweep(base, "epsilon", [])
         with pytest.raises(ScenarioDefinitionError):
-            sweep(base, "epsilon", [1.0, -2.0], simulate=False)
+            sweep(base, "epsilon", [1.0, -2.0])
         with pytest.raises(ScenarioDefinitionError):
-            sweep(base, "h", [1.0], simulate=False)
+            sweep(base, "h", [1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf, 0.0])
     def test_refuses_a_non_finite_or_nonpositive_value_naming_it(self, bad):
         with pytest.raises(ScenarioDefinitionError,
                            match=rf"finite and positive, got {bad!r} at position 1$"):
-            sweep(get_scenario("fig2b"), "epsilon", [1.0, bad, 2.0], simulate=False)
+            sweep(get_scenario("fig2b"), "epsilon", [1.0, bad, 2.0])
 
     def test_zero_gain_plan_cannot_sweep_epsilon(self):
         with pytest.raises(ScenarioDefinitionError):
-            sweep(get_scenario("fig6a"), "epsilon", [1.0], simulate=False)
+            sweep(get_scenario("fig6a"), "epsilon", [1.0])
 
     def test_writes_artifacts(self, tmp_path):
-        sweep(get_scenario("fig2b"), "c", [1.0, 2.0], out_dir=tmp_path, simulate=False)
+        derived = sweep(get_scenario("fig2b"), "c", [1.0, 2.0])
+        write_report(run_scenarios(derived, tmp_path, simulate=False), tmp_path, "sweep")
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.txt").exists()
 
@@ -298,8 +301,7 @@ class TestBaComparison:
     def test_small_degree_pinning_beats_hubs(self):
         # the shipped scale-free instance: eleven small nodes at CF 330
         # synchronize sooner than three hubs at CF 9000
-        report = run_comparison([get_scenario("fig6c"), get_scenario("fig7")])
-        rows = {r.name: r for r in report.rows}
+        rows = {r.name: r for r in run_scenarios([get_scenario("fig6c"), get_scenario("fig7")])}
         assert rows["fig7"].cf == 330.0 and rows["fig6c"].cf == 9000.0
         assert rows["fig7"].outcome == "synchronized"
         assert rows["fig7"].sync_time < rows["fig6c"].sync_time
@@ -313,5 +315,5 @@ class TestReportFormatting:
 
     def test_fractional_cf_keeps_full_precision(self):
         base = get_scenario("fig2b")
-        report = sweep(base, "c", [0.3], simulate=False)
-        assert repr(0.3 * 12.0) in report.to_csv_text()
+        rows = run_scenarios(sweep(base, "c", [0.3]), simulate=False)
+        assert repr(0.3 * 12.0) in ComparisonReport(tuple(rows)).to_csv_text()
