@@ -82,14 +82,29 @@ def checked(value, kind: type, name: str):
     return kind(value)
 
 
+def _object(d, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ScenarioDefinitionError(f"{where or 'document'} must be an object, got {d!r}")
+
+
+def known_keys(d, where: str, keys) -> None:
+    """Refuse the JSON object `d` at path `where` if it holds a key not in
+    `keys`: a key no reader takes, a misspelt one say, is not ignored."""
+    _object(d, where)
+    for key in d:
+        if key not in keys:
+            name = f"{where}.{key}" if where else key
+            raise ScenarioDefinitionError(
+                f"{name} is not a known key (expected one of {', '.join(keys)})")
+
+
 def field(d, where: str, key: str, kind: type, default=_REQUIRED):
     """Field `key` of the JSON object `d` at path `where`, checked as `kind`.
 
     A missing field takes `default`, or is refused when there is none.
     """
     name = f"{where}.{key}" if where else key
-    if not isinstance(d, dict):
-        raise ScenarioDefinitionError(f"{where or 'document'} must be an object, got {d!r}")
+    _object(d, where)
     if key not in d:
         if default is _REQUIRED:
             raise ScenarioDefinitionError(f"{name} is missing")

@@ -16,7 +16,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, PinnetError, ScenarioDefinitionError, field, read_json
+from .errors import (ContractViolationError, PinnetError, ScenarioDefinitionError, field,
+                     known_keys, read_json)
 from .topology import Graph, degrees
 
 __all__ = [
@@ -156,13 +157,16 @@ def pins_from_dict(
 
     Returns (n, c, gain by node); n is None when absent and not required.
     Raises ScenarioDefinitionError naming the field (under `where`) that is
-    missing or of the wrong type, or the pin that repeats a node.
+    missing, of the wrong type or not a field of the format, or the pin that
+    repeats a node.
     """
+    known_keys(d, where, ("n", "c", "pins"))
     n = field(d, where, "n", int) if n_required or "n" in d else None
     c = field(d, where, "c", float)
     gains = {}
     for k, pin in enumerate(field(d, where, "pins", list)):
         at = f"{where}.pins[{k}]" if where else f"pins[{k}]"
+        known_keys(pin, at, ("node", "gain"))
         node = field(pin, at, "node", int)
         if node in gains:
             raise ScenarioDefinitionError(f"{at}: node {node} is pinned twice")

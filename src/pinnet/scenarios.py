@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .errors import ScenarioDefinitionError, checked, field
+from .errors import ScenarioDefinitionError, checked, field, known_keys
 from .pinning import PinningPlan, degree_order, pins_from_dict, plan_by_degree, plan_explicit
 from .topology import ClusterSpec, Graph, barabasi_albert, cluster_stars, star
 
@@ -59,6 +59,7 @@ class _Recipe:
         kind = field(d, cls.SECTION, "kind", str, None)
         if kind not in cls.FIELDS:
             raise ScenarioDefinitionError(f"unknown {cls.SECTION} kind {kind!r}")
+        known_keys(d, cls.SECTION, ("kind", *cls.FIELDS[kind]))
         values = {}
         for name, typ in cls.FIELDS[kind].items():
             at = f"{cls.SECTION}.{name}"
@@ -197,6 +198,7 @@ class SimParams:
 
     @staticmethod
     def from_dict(d: dict) -> "SimParams":
+        known_keys(d, "sim", ("h", "T", "tol", "init_seed", "record_every"))
         get = partial(field, d, "sim")
         return SimParams(
             h=get("h", float), T=get("T", float), tol=get("tol", float, 1e-2),
@@ -225,6 +227,7 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
+        known_keys(d, "scenario", ("name", "topology", "plan", "sim", "expected_cf"))
         get = partial(field, d, "scenario")
         return Scenario(
             name=get("name", str),

@@ -6,9 +6,9 @@ questions that need only a yes/no answer, "does every eigenvalue lie below
 exactly when the matrix tested is positive definite (Sylvester's law of
 inertia). On top of these sit the controlled-spectrum computation,
 closed-form sufficient gain bounds for star and cluster-of-stars networks, a
-Schur-complement feasibility test for a requested spectral margin, and the
-minimal uniform gain in closed form: minus the least eigenvalue of one Schur
-complement, confirmed by the definiteness test.
+feasibility test for a requested spectral margin, and the minimal uniform
+gain in closed form: minus the least eigenvalue of one Schur complement,
+confirmed by the same definiteness test as the feasibility test.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ SYMMETRY_TOL = 1e-12
 # matrix whose top eigenvalue sits within it of -level counts as failing, so a
 # "below" answer also holds for an eigensolver's lambda_max.
 _DEFINITE_SLACK = 1e-12
-# An eigenvalue of the Schur pivot block this close to -alpha makes the
-# feasibility outcome indeterminate.
-_PIVOT_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,6 +109,11 @@ def controlled_spectrum(A: np.ndarray, plan: PinningPlan) -> EigenDecomposition:
     return eig_symmetric(controlled_coupling(A, plan))
 
 
+def _positive(name: str, value: float, error: type = ContractViolationError) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise error(f"{name} must be finite and positive, got {value!r}")
+
+
 def star_leaf_gain_bound(n_nodes: int, margin: float) -> float:
     """Sufficient uniform gain for pinning every leaf of a star network.
 
@@ -119,8 +121,7 @@ def star_leaf_gain_bound(n_nodes: int, margin: float) -> float:
     controlled coupling matrix below -margin. Requires margin < n_nodes - 1
     by a unit; outside that the bound is undefined.
     """
-    if margin <= 0:
-        raise BoundUndefinedError("margin must be positive")
+    _positive("margin", margin, BoundUndefinedError)
     if n_nodes - margin - 1 <= 0:
         raise BoundUndefinedError(
             f"bound undefined: need n_nodes - margin - 1 > 0, got {n_nodes - margin - 1}"
@@ -135,8 +136,7 @@ def cluster_leaf_gain_bound(n1: int, margin: float) -> float:
     strictly above the returned value pushes all controlled eigenvalues
     below -margin. Requires n1 > margin.
     """
-    if margin <= 0:
-        raise BoundUndefinedError("margin must be positive")
+    _positive("margin", margin, BoundUndefinedError)
     if n1 <= margin:
         raise BoundUndefinedError(f"bound undefined: need n1 > margin, got n1={n1}")
     return max(margin - 1.0, margin * (n1 + 1.0 - margin) / (n1 - margin))
@@ -164,42 +164,43 @@ def _split_blocks(A: np.ndarray, pinned: Iterable[int]) -> tuple[np.ndarray, int
     return A.take(order, 0).take(order, 1), u
 
 
-def _positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ContractViolationError(f"{name} must be finite and positive, got {value!r}")
+def _controlled(P: np.ndarray, u: int, gains) -> np.ndarray:
+    """A copy of P less gains on its pinned diagonal.
+
+    P is permuted by _split_blocks with u unpinned nodes; gains is one gain,
+    or one for every pinned node in P's order.
+    """
+    n = P.shape[0]
+    a_ctrl = P.copy()
+    a_ctrl.flat[u * (n + 1) :: n + 1] -= gains
+    return a_ctrl
+
+
+def _controlled_below(P: np.ndarray, u: int, gains, level: float) -> bool:
+    """Whether _controlled(P, u, gains) lies below -level."""
+    a_ctrl = _controlled(P, u, gains)
+    return _below(a_ctrl, level, np.linalg.norm(a_ctrl))
 
 
 def schur_feasible(A_full: np.ndarray, pinned: Iterable[int], gains, alpha: float) -> bool:
-    """Block test for the controlled spectrum sitting below -alpha.
+    """Whether the controlled spectrum lies below -alpha.
 
-    With nodes permuted so the unpinned block A1 comes first, the controlled
-    matrix is below -alpha*I exactly when A1 + alpha*I is negative definite
-    and so is the Schur complement
-    A2 + D - A12^T (A1 + alpha*I)^{-1} A12 + alpha*I,
-    where D carries gains[i] on node pinned[i]. If any eigenvalue of A1 sits
-    within 1e-9 of -alpha the pivot is singular and the outcome indeterminate.
+    The controlled matrix is A_full - D, D carrying gains[i] on node pinned[i],
+    and it is tested whole by the definiteness test. By Haynsworth's inertia
+    additivity this decides the block test: with the unpinned block A1 first,
+    the controlled matrix is below -alpha*I exactly when A1 + alpha*I is
+    negative definite and so is the Schur complement
+    A2 - D + alpha*I - A12^T (A1 + alpha*I)^{-1} A12.
     """
     _positive("alpha", alpha)
     pinned = list(pinned)
     P, u = _split_blocks(_symmetric(A_full), pinned)
-    n = P.shape[0]
     gains = np.asarray(gains, dtype=float)
-    if gains.shape != (n - u,):
-        raise ContractViolationError(f"expected {n - u} gains, got shape {gains.shape}")
+    if gains.shape != (P.shape[0] - u,):
+        raise ContractViolationError(f"expected {P.shape[0] - u} gains, got shape {gains.shape}")
     if not np.all(np.isfinite(gains)):
         raise ContractViolationError("gains must be finite")
-    a1, a12, a2 = P[:u, :u], P[:u, u:], P[u:, u:]
-    a1_norm = np.linalg.norm(a1)
-    if not _below(a1, alpha + _PIVOT_GAP, a1_norm):
-        if not _below(a1, alpha, a1_norm):
-            return False  # first block condition fails; no inverse needed
-        raise BoundaryCaseError("pivot block nearly singular at -alpha; feasibility indeterminate")
-    P.flat[: u * (n + 1) : n + 1] += alpha  # a1 becomes the pivot a1 + alpha I
-    P.flat[u * (n + 1) :: n + 1] -= gains[np.argsort(pinned)]  # a2 becomes a2 - D
-    complement = a2 - a12.T @ np.linalg.solve(a1, a12)
-    complement.flat[:: n - u + 1] += alpha
-    complement = 0.5 * (complement + complement.T)  # scrub roundoff asymmetry
-    return _below(complement, 0.0, np.linalg.norm(complement))
+    return _controlled_below(P, u, gains[np.argsort(pinned)], alpha)
 
 
 def min_uniform_gain(
@@ -224,11 +225,6 @@ def min_uniform_gain(
     A, u = _split_blocks(_symmetric(A), pinned)
     n = A.shape[0]
 
-    def controlled(eps: float) -> np.ndarray:
-        a_ctrl = A.copy()
-        a_ctrl.flat[u * (n + 1) :: n + 1] -= eps
-        return a_ctrl
-
     def schur_complement(slack_of: np.ndarray):
         """Cholesky factor L of M_UU, L^{-1} M_UP and S, the level's slack from slack_of."""
         M = -A
@@ -242,19 +238,15 @@ def min_uniform_gain(
     except np.linalg.LinAlgError:
         return None
     try:
-        chol, y, S = schur_complement(controlled(eps))
+        chol, y, S = schur_complement(_controlled(A, u, eps))
         lam, w = np.linalg.eigh(S)
         z = np.linalg.solve(chol.T, y @ w[:, 0])
     except np.linalg.LinAlgError:
         raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
     eps = max(0.0, -float(lam[0]))
-    a_ctrl = controlled(eps)
-    norm = np.linalg.norm(a_ctrl)
-    err = float(np.finfo(float).eps * norm * (1.0 + z @ z))
+    err = float(np.finfo(float).eps * np.linalg.norm(_controlled(A, u, eps)) * (1.0 + z @ z))
     if err <= tol:
-        if _below(a_ctrl, margin, norm):
-            return eps
-        a_ctrl = controlled(eps + err)
-        if _below(a_ctrl, margin, np.linalg.norm(a_ctrl)):
-            return eps + err
+        for gain in (eps, eps + err):
+            if _controlled_below(A, u, gain, margin):
+                return gain
     raise BoundaryCaseError(f"minimal gain {eps!r} uncertain by {err:.3g}, tol {tol:g}")

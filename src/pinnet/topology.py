@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidSizeError, PinnetError, read_text
+from .errors import ContractViolationError, InvalidSizeError, read_text
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -251,6 +251,8 @@ def read_edge_list(path) -> Graph:
         n = int(n)
     except ValueError:
         raise InvalidSizeError(f"{path}:{k}: expected header 'N <n>', got {header}") from None
+    if n < 1:
+        raise InvalidSizeError(f"{path}:{k}: graph needs at least one node, got {n}")
     line_of: dict[tuple[int, int], int] = {}  # each edge, canonical, and its line
     for k, fields in lines[1:]:
         try:
@@ -258,13 +260,14 @@ def read_edge_list(path) -> Graph:
             i, j = int(i), int(j)
         except ValueError:
             raise ContractViolationError(f"{path}:{k}: expected an edge 'i j', got {fields}") from None
+        if i == j:
+            raise InvalidSizeError(f"{path}:{k}: self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidSizeError(f"{path}:{k}: edge ({i},{j}) outside 0..{n - 1}")
         edge = (min(i, j), max(i, j))
         if edge in line_of:
             raise ContractViolationError(
                 f"{path}:{k}: edge {i} {j} repeats the edge on line {line_of[edge]}"
             )
         line_of[edge] = k
-    try:
-        return Graph.from_edges(n, line_of)
-    except PinnetError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return Graph.from_edges(n, line_of)

@@ -4,9 +4,6 @@
 LAPACK's eigensolvers; the tests use it as the oracle for the package's
 ``eig_symmetric`` (which calls ``np.linalg.eigvalsh``) and for its Cholesky
 definiteness tests.
-``schur_feasible_alpha_first`` is ``schur_feasible`` with its pivot tests in
-their earlier order, at -alpha first and then at -alpha - 1e-9; the tests
-check that testing at -alpha - 1e-9 first decides every case the same way.
 ``spectral_abscissa_3`` solves the characteristic cubic of a 3x3 matrix in
 closed form; it is the oracle for ``pinnet.dynamics.mode_threshold``, which
 finds the stability threshold from the Routh-Hurwitz polynomials instead.
@@ -22,10 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from pinnet.errors import BoundaryCaseError, ContractViolationError
+from pinnet.errors import ContractViolationError
 from pinnet.pinning import PinningPlan, cost
-from pinnet.spectral import (_PIVOT_GAP, EigenDecomposition, _below, _split_blocks, _symmetric,
-                             controlled_spectrum, eig_symmetric)
+from pinnet.spectral import EigenDecomposition, controlled_spectrum, eig_symmetric
 
 # Stop once the off-diagonal Frobenius mass is negligible against the input.
 _OFF_DIAG_FACTOR = 1e-12
@@ -102,30 +98,6 @@ def jacobi_eig(M: np.ndarray) -> EigenDecomposition:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
     return EigenDecomposition(np.sort(np.diag(a))[::-1])
-
-
-def schur_feasible_alpha_first(A_full, pinned, gains, alpha: float) -> bool:
-    """schur_feasible deciding the pivot block at -alpha before -alpha - 1e-9.
-
-    Returns False when the unpinned block is not below -alpha, raises
-    BoundaryCaseError when it is below -alpha but not below -alpha - 1e-9,
-    and otherwise tests the Schur complement as schur_feasible does.
-    """
-    pinned = list(pinned)
-    P, u = _split_blocks(_symmetric(A_full), pinned)
-    n = P.shape[0]
-    gains = np.asarray(gains, dtype=float)
-    a1, a12, a2 = P[:u, :u], P[:u, u:], P[u:, u:]
-    if not _below(a1, alpha, np.linalg.norm(a1)):
-        return False
-    if not _below(a1, alpha + _PIVOT_GAP, np.linalg.norm(a1)):
-        raise BoundaryCaseError("pivot block nearly singular at -alpha")
-    P.flat[: u * (n + 1) : n + 1] += alpha
-    P.flat[u * (n + 1) :: n + 1] -= gains[np.argsort(pinned)]
-    complement = a2 - a12.T @ np.linalg.solve(a1, a12)
-    complement.flat[:: n - u + 1] += alpha
-    complement = 0.5 * (complement + complement.T)
-    return _below(complement, 0.0, np.linalg.norm(complement))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from pinnet.dynamics import (
     chen_field,
     mode_threshold,
 )
-from pinnet.errors import BoundaryCaseError
 from pinnet.harness import GAMMA, build_system, run_scenarios
 from pinnet.pinning import PinningPlan
 from pinnet.scenarios import FAMILIES, get_scenario
@@ -149,11 +148,7 @@ def test_06_schur_equivalence_randomized():
         lam1 = eig_symmetric(At).lambda_max
         if abs(lam1 + alpha) < 1e-7:
             continue
-        try:
-            feasible = schur_feasible(A, pinned, gains, alpha)
-        except BoundaryCaseError:
-            continue
-        if feasible != (lam1 < -alpha):
+        if schur_feasible(A, pinned, gains, alpha) != (lam1 < -alpha):
             disagreements += 1
         checked += 1
     _report(6, "Schur block test agrees with direct eigenvalue test on 200 graphs",

@@ -173,6 +173,27 @@ def test_explicit_plan_gains_naming_one_node_twice_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where,edit", [
+    ("sim.record_evry", lambda d: d["sim"].update(record_evry=1)),
+    ("topology.seed", lambda d: d["topology"].update(seed=7)),
+    ("plan.gains", lambda d: d["plan"].update(gains={"0": 2.0})),
+    ("scenario.notes", lambda d: d.update(notes="hub pinning")),
+    ("plan.kind", lambda d: d.update(plan={"kind": "none", "c": 10.0, "pins": []})),
+    ("plan.pins[0].weight",
+     lambda d: d.update(plan={"c": 10.0, "pins": [{"node": 0, "gain": 3.0, "weight": 1}]})),
+])
+def test_scenario_file_with_unread_key_exits_2(where, edit, tmp_path, capsys):
+    # A key no reader takes, a misspelt one above all, was ignored: a run with
+    # "record_evry": 1 recorded every fifth step and exited 0.
+    scenario = get_scenario("fig2b").to_dict()
+    edit(scenario)
+    path = tmp_path / "extra_key.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: {where} is not a known key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_file_with_duplicate_key_exits_2(tmp_path, capsys):
     scenario = get_scenario("fig2b").to_dict()
     text = json.dumps(scenario).replace('"T": 5.0', '"T": 5.0, "T": 0.01')
@@ -368,10 +389,15 @@ def test_compare_bad_entry_names_the_file_and_position(entry, message, tmp_path,
     ("--edges", "N x\n0 1\n", "edges:1"),
     ("--edges", "N 3\n0 1\n0 1\n1 0\n", "edges:3: edge 0 1 repeats the edge on line 2"),
     ("--edges", "N 3\n0 1\n1 2\n1 0\n", "edges:4: edge 1 0 repeats the edge on line 2"),
+    ("--edges", "N 4\n0 1\n\n2 2\n", "edges:4: self-loop at node 2"),
+    ("--edges", "N 4\n0 1\n1 7\n", "edges:3: edge (1,7) outside 0..3"),
+    ("--edges", "N 4\n-1 2\n", "edges:2: edge (-1,2) outside 0..3"),
+    ("--edges", "N 0\n", "edges:1: graph needs at least one node, got 0"),
     ("--plan", '{"n": 3, "c": 1.0}', "plan: pins is missing"),
     ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": "a", "gain": 1.0}]}', "plan: pins[0].node"),
     ("--plan", '{"n": 3, "c": 1.0, "pins": [{"node": 1, "gain": 1.0}, {"node": 1, "gain": 2.0}]}',
      "plan: pins[1]: node 1 is pinned twice"),
+    ("--plan", '{"n": 3, "c": 1.0, "pins": [], "note": "hubs"}', "plan: note is not a known key"),
     ("--edges", b"N 3\n0 1\xff\n", "edges: not UTF-8 text"),
     ("--plan", "not json", "plan: not JSON"),
     ("simulate", b"\xff\xfe{}", "scenario.json: not UTF-8 text"),

@@ -90,6 +90,11 @@ class TestScenarioRegistry:
         for scenario in SCENARIOS.values():
             assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
 
+    def test_every_plan_form_loads(self):
+        # Each key of these forms is read, so none is refused as unknown.
+        for doc in FUZZ_BASES:
+            Scenario.from_dict(doc)
+
     @settings(max_examples=100, deadline=None)
     @given(scenario=scenarios)
     def test_generated_scenario_json_round_trip(self, scenario):
