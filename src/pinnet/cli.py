@@ -12,16 +12,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import (
-    ComparisonDefinitionError, DivergenceError, PinnetError, ScenarioDefinitionError, checked,
-    field, read_json,
-)
+from .errors import PinnetError, ScenarioDefinitionError, checked, field, known_keys, read_json
 from .harness import run_scenarios, sweep, write_report
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
 from .spectral import controlled_spectrum, eig_symmetric
 from .topology import (
-    ClusterSpec,
     barabasi_albert,
     cluster_stars,
     coupling_matrix,
@@ -95,7 +91,7 @@ def _cmd_topology(args) -> int:
     if args.family == "star":
         g = star(args.n)
     elif args.family == "cluster":
-        g = cluster_stars(ClusterSpec(tuple(_comma_list("--branches", args.branches, int))))
+        g = cluster_stars(tuple(_comma_list("--branches", args.branches, int)))
     else:
         g = barabasi_albert(args.n, args.m0, args.m, args.seed)
     if args.out is None:
@@ -152,24 +148,27 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = read_json(args.scenarios)
-    if isinstance(spec, dict):
-        refs = field(spec, "", "scenarios", list)
-    else:
-        refs = checked(spec, list, "comparison document")
-    scenarios = []
-    for k, ref in enumerate(refs):  # an inline scenario, a shipped name or a file path
-        try:
-            scenario = Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(
-                checked(ref, str, "an entry that is not an object"))
-        except (PinnetError, OSError) as exc:
-            raise type(exc)(f"{args.scenarios}: scenarios[{k}]: {exc}") from exc
-        scenarios.append(_apply_overrides(scenario, args))
+    at = ""  # the entry being read, named in an error after the file
+    try:
+        if isinstance(spec, dict):
+            known_keys(spec, "", ("scenarios",))
+            refs = field(spec, "", "scenarios", list)
+        else:
+            refs = checked(spec, list, "comparison document")
+        scenarios = []
+        for k, ref in enumerate(refs):  # an inline scenario, a shipped name or a file path
+            at = f"scenarios[{k}]: "
+            scenarios.append(Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(
+                checked(ref, str, "an entry that is not an object")))
+    except (PinnetError, OSError) as exc:
+        raise type(exc)(f"{args.scenarios}: {at}{exc}") from exc
+    scenarios = [_apply_overrides(s, args) for s in scenarios]
     if len(scenarios) < 2:
-        raise ComparisonDefinitionError(
+        raise ScenarioDefinitionError(
             f"{args.scenarios}: comparison needs at least two scenarios")
     for s in scenarios[1:]:
         if s.topology != scenarios[0].topology:
-            raise ComparisonDefinitionError(
+            raise ScenarioDefinitionError(
                 f"{args.scenarios}: scenario {s.name!r} uses a different topology "
                 f"than {scenarios[0].name!r}")
     return _run(scenarios, args, "comparison")
@@ -261,9 +260,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (PinnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFINITION

@@ -29,7 +29,7 @@ from .errors import (
     RegionShapeError,
 )
 from .pinning import PinningPlan
-from .spectral import eig_symmetric
+from .spectral import _positive, eig_symmetric
 
 __all__ = [
     "NodeDynamics",
@@ -75,6 +75,8 @@ class ChenParameters:
     c: float = 28.0
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            _positive(f"Chen parameter {name}", getattr(self, name))
         if 2.0 * self.c - self.a <= 0:
             raise ContractViolationError("need 2c - a > 0 for real equilibria")
 
@@ -159,6 +161,8 @@ class NetworkSystem:
             raise ContractViolationError("gamma must be a length-n 0/1 vector")
         if self.target.shape != (n,):
             raise ContractViolationError(f"target must have shape ({n},)")
+        if not np.all(np.isfinite(self.target)):
+            raise ContractViolationError(f"target must be finite, got {self.target}")
         f_s = np.empty((n, 1))
         self.dynamics.bind(np.ascontiguousarray(self.target[:, None]), f_s)()
         resid = float(np.linalg.norm(f_s[:, 0]))

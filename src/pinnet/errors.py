@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the readers of input files
 and of typed fields.
 
-The CLI maps these onto exit codes: scenario/comparison definition
-problems exit with 2, simulation divergence with 3.
+The CLI exits with 2 on any of these; a run whose state blew up is a
+`diverged` report row instead, and the CLI exits with 3.
 """
 
 import json
@@ -55,10 +55,6 @@ class DivergenceError(PinnetError, RuntimeError):
 
 class ScenarioDefinitionError(PinnetError, ValueError):
     """A scenario file or definition is internally inconsistent."""
-
-
-class ComparisonDefinitionError(ScenarioDefinitionError):
-    """A comparison request mixes incompatible scenarios."""
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}

@@ -106,8 +106,6 @@ def plan_explicit(
 
     An empty mapping yields the uncontrolled plan (CF = 0).
     """
-    if c < 0:
-        raise ContractViolationError("coupling strength must be nonnegative")
     gains = [0.0] * n_nodes
     for node, gain in gains_by_node.items():
         if not (0 <= node < n_nodes):

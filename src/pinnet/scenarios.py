@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import ScenarioDefinitionError, checked, field, known_keys
 from .pinning import PinningPlan, degree_order, pins_from_dict, plan_by_degree, plan_explicit
-from .topology import ClusterSpec, Graph, barabasi_albert, cluster_stars, star
+from .topology import Graph, barabasi_albert, cluster_stars, star
 
 __all__ = [
     "TopologySpec",
@@ -105,7 +105,7 @@ class TopologySpec(_Recipe):
         if self.kind == "star":
             return star(int(self.n))
         if self.kind == "cluster":
-            return cluster_stars(ClusterSpec(tuple(self.branch_sizes)))
+            return cluster_stars(tuple(self.branch_sizes))
         if self.kind == "ba":
             return barabasi_albert(int(self.n), int(self.m0), int(self.m), int(self.seed))
         raise ScenarioDefinitionError(f"unknown topology kind {self.kind!r}")

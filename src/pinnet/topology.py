@@ -19,7 +19,6 @@ from .errors import ContractViolationError, InvalidSizeError, read_text
 __all__ = [
     "RNG_ALGORITHM",
     "Graph",
-    "ClusterSpec",
     "star",
     "cluster_stars",
     "barabasi_albert",
@@ -52,6 +51,9 @@ class Graph:
             if i == j:
                 raise InvalidSizeError(f"self-loop at node {i}")
             if not (0 <= i < j < self.n_nodes):
+                if 0 <= j < i < self.n_nodes:
+                    raise ContractViolationError(
+                        f"edge ({i},{j}) is reversed: store it as ({j},{i})")
                 raise InvalidSizeError(f"edge ({i},{j}) outside 0..{self.n_nodes - 1}")
 
     @staticmethod
@@ -71,33 +73,6 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Branch sizes of a cluster-of-stars network, ascending.
-
-    k centers form a complete graph; center i carries branch_sizes[i] leaves.
-    Total nodes: k + sum(branch_sizes).
-    """
-
-    branch_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.branch_sizes) < 1:
-            raise InvalidSizeError("cluster spec needs at least one branch")
-        if any(n < 1 for n in self.branch_sizes):
-            raise InvalidSizeError(f"branch sizes must be >= 1, got {self.branch_sizes}")
-        if list(self.branch_sizes) != sorted(self.branch_sizes):
-            raise InvalidSizeError(f"branch sizes must be ascending, got {self.branch_sizes}")
-
-    @property
-    def k(self) -> int:
-        return len(self.branch_sizes)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.k + sum(self.branch_sizes)
-
-
 def star(n_nodes: int) -> Graph:
     """Star graph: node 0 is the center, nodes 1..n_nodes-1 are leaves."""
     if n_nodes < 2:
@@ -105,20 +80,28 @@ def star(n_nodes: int) -> Graph:
     return Graph(n_nodes, frozenset((0, i) for i in range(1, n_nodes)))
 
 
-def cluster_stars(spec: ClusterSpec) -> Graph:
-    """Cluster of stars: mutually connected centers 0..k-1, private leaves after.
+def cluster_stars(branch_sizes: tuple[int, ...]) -> Graph:
+    """Cluster of stars: k = len(branch_sizes) mutually connected centers
+    0..k-1, center i carrying branch_sizes[i] private leaves after them.
 
-    Leaves of center i are a contiguous index block; leaves never connect to
-    each other or to a foreign center.
+    Branch sizes are ascending and at least 1. Leaves of center i are a
+    contiguous index block; leaves never connect to each other or to a
+    foreign center. Total nodes: k + sum(branch_sizes).
     """
-    k = spec.k
+    if len(branch_sizes) < 1:
+        raise InvalidSizeError("cluster spec needs at least one branch")
+    if any(n < 1 for n in branch_sizes):
+        raise InvalidSizeError(f"branch sizes must be >= 1, got {branch_sizes}")
+    if list(branch_sizes) != sorted(branch_sizes):
+        raise InvalidSizeError(f"branch sizes must be ascending, got {branch_sizes}")
+    k = len(branch_sizes)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     leaf = k
-    for center, size in enumerate(spec.branch_sizes):
+    for center, size in enumerate(branch_sizes):
         for _ in range(size):
             edges.append((center, leaf))
             leaf += 1
-    return Graph(spec.n_nodes, frozenset(edges))
+    return Graph(leaf, frozenset(edges))
 
 
 # 64-bit PCG64 outputs read per block, each split into two 32-bit words.

@@ -32,7 +32,7 @@ from pinnet.spectral import (
     schur_feasible,
     star_leaf_gain_bound,
 )
-from pinnet.topology import ClusterSpec, cluster_stars, coupling_matrix, star
+from pinnet.topology import cluster_stars, coupling_matrix, star
 from spectral_oracle import spectral_abscissa_3
 
 CAPTION_CFS = [
@@ -118,8 +118,7 @@ def test_05_cluster_bound_sufficiency_randomized():
         margin = float(rng.uniform(1e-3, 6.5))
         lo = int(math.ceil(margin)) + 1
         sizes = tuple(sorted(int(rng.integers(lo, 9)) for _ in range(k)))
-        spec = ClusterSpec(sizes)
-        g = cluster_stars(spec)
+        g = cluster_stars(sizes)
         A = coupling_matrix(g)
         delta = float(rng.uniform(0.0, 1.0)) or 1e-6
         eps = cluster_leaf_gain_bound(sizes[0], margin) * (1.0 + delta)

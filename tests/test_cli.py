@@ -427,7 +427,16 @@ def test_compare_without_scenario_list_exits_2(doc, message, tmp_path, capsys):
     path = tmp_path / "comparison.json"
     path.write_text(json.dumps(doc))
     assert main(["compare", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_compare_unknown_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "comparison.json"
+    path.write_text(json.dumps({"scenarios": ["fig2a", "fig2b"], "scenarois": ["fig3a"]}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out"), "--T", "0.01"]) == 2
+    assert (f"error: {path}: scenarois is not a known key (expected one of scenarios)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_topology_negative_seed_exits_2(tmp_path, capsys):

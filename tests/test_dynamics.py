@@ -111,6 +111,15 @@ class TestChenField:
         with pytest.raises(ContractViolationError):
             ChenParameters(a=60.0, b=3.0, c=28.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("a", math.nan), ("a", 0.0), ("b", -1.0), ("b", 0.0), ("b", math.inf),
+        ("c", math.inf), ("c", -math.inf), ("c", -28.0),
+    ])
+    def test_refuses_non_finite_or_non_positive_parameter(self, name, value):
+        with pytest.raises(ContractViolationError,
+                           match=rf"Chen parameter {name} must be finite and positive, got {value!r}$"):
+            ChenParameters(**{name: value})
+
     @settings(max_examples=200, deadline=None)
     @given(rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            p=st.sampled_from([ChenParameters(), ChenParameters(10.0, 8.0 / 3.0, 28.0)]))
@@ -609,6 +618,14 @@ class TestNetworkSystemValidation:
         A = coupling_matrix(star(3))
         with pytest.raises(ContractViolationError):
             NetworkSystem(chen_field(p), A, GAMMA, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, bad):
+        p = ChenParameters()
+        target = p.equilibrium()
+        target[1] = bad
+        with pytest.raises(ContractViolationError, match="target must be finite"):
+            NetworkSystem(chen_field(p), coupling_matrix(star(3)), GAMMA, target)
 
     def test_non_square_coupling(self):
         p = ChenParameters()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestScenarioRegistry:
         sim = get_scenario("fig2a").sim
         with pytest.raises(ScenarioDefinitionError, match=f"sim.{field} must be"):
             dataclasses.replace(sim, **{field: value})
+
+    @pytest.mark.parametrize("plan,message", [
+        ({"kind": "explicit", "c": 1.0, "gains": {"x": 1.0}},
+         "plan.gains key 'x' is not a node index"),
+        ({"kind": "mixed", "c": 1.0, "largest": 1, "smallest": 9, "gain": 1.0},
+         "mixed plan: largest and smallest sets overlap"),
+    ], ids=["explicit-key", "mixed-overlap"])
+    def test_plan_recipe_refused(self, plan, message):
+        d = get_scenario("fig2b").to_dict()
+        d["plan"] = plan
+        with pytest.raises(ScenarioDefinitionError, match=f"^{re.escape(message)}$"):
+            scenario = Scenario.from_dict(d)
+            scenario.plan.build(scenario.topology.build())
 
     def test_scenario_file_with_non_finite_step(self):
         d = get_scenario("fig2a").to_dict()
@@ -269,6 +283,14 @@ class TestSweep:
         rows = run_scenarios(sweep(base, "c", [1.0, 2.0, 4.0]), simulate=False)
         cfs = [r.cf for r in sorted(rows, key=lambda r: r.name)]
         assert cfs == [12.0, 24.0, 48.0]
+
+    def test_epsilon_sweep_on_explicit_plan_sets_every_gain(self):
+        plan = PlanSpec("explicit", 2.0, gains={1: 1.0, 4: 3.0})
+        base = dataclasses.replace(get_scenario("fig2b"), plan=plan, expected_cf=None)
+        derived = sweep(base, "epsilon", [1.5, 6.0])
+        assert [s.plan.gains for s in derived] == [{1: 1.5, 4: 1.5}, {1: 6.0, 4: 6.0}]
+        rows = run_scenarios(derived, simulate=False)
+        assert [r.cf for r in sorted(rows, key=lambda r: r.name)] == [6.0, 24.0]
 
     def test_fig6_style_epsilon_sweep(self):
         base = get_scenario("fig6c")

@@ -18,7 +18,7 @@ from pinnet.pinning import (
     read_plan,
     write_plan,
 )
-from pinnet.topology import ClusterSpec, cluster_stars, coupling_matrix, star
+from pinnet.topology import cluster_stars, coupling_matrix, star
 
 
 class TestPlanByDegree:
@@ -42,14 +42,24 @@ class TestPlanByDegree:
         with pytest.raises(ContractViolationError):
             plan_by_degree(star(5), "largest", 0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("epsilon,c,message", [
+        (0.0, 1.0, "epsilon must be positive"),
+        (-1.5, 1.0, "epsilon must be positive"),
+        (1.0, 0.0, "coupling strength must be positive"),
+        (1.0, -2.0, "coupling strength must be positive"),
+    ])
+    def test_nonpositive_gain_or_coupling(self, epsilon, c, message):
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            plan_by_degree(star(5), "largest", 1, epsilon, c)
+
     def test_tie_break_by_index(self):
-        g = cluster_stars(ClusterSpec((2, 3, 4)))  # leaves 3..11 all degree 1
+        g = cluster_stars((2, 3, 4))  # leaves 3..11 all degree 1
         plan = plan_by_degree(g, "smallest", 3, 1.0, 1.0)
         assert plan.pinned_nodes == (3, 4, 5)
         assert plan == plan_by_degree(g, "smallest", 3, 1.0, 1.0)
 
     def test_largest_smallest_disjoint(self):
-        g = cluster_stars(ClusterSpec((2, 3, 4)))
+        g = cluster_stars((2, 3, 4))
         big = set(plan_by_degree(g, "largest", 3, 1.0, 1.0).pinned_nodes)
         small = set(plan_by_degree(g, "smallest", 3, 1.0, 1.0).pinned_nodes)
         assert big == {0, 1, 2}

@@ -24,8 +24,7 @@ from pinnet.spectral import (
     schur_feasible,
     star_leaf_gain_bound,
 )
-from pinnet.topology import (ClusterSpec, Graph, barabasi_albert, cluster_stars, coupling_matrix,
-                             star)
+from pinnet.topology import Graph, barabasi_albert, cluster_stars, coupling_matrix, star
 from spectral_oracle import (
     check_margin,
     diag_bounds_check,
@@ -173,8 +172,7 @@ class TestGainBounds:
             cluster_leaf_gain_bound(2, margin)
 
     def test_cluster_bound_sufficiency_spot(self):
-        spec = ClusterSpec((3, 3, 3))
-        g = cluster_stars(spec)
+        g = cluster_stars((3, 3, 3))
         A = coupling_matrix(g)
         eps = cluster_leaf_gain_bound(3, 1.0) * 1.01
         plan = plan_explicit(g.n_nodes, {i: eps for i in range(3, g.n_nodes)}, 1.0)
@@ -235,6 +233,18 @@ class TestSchurFeasible:
             schur_feasible(A, range(4), [1.0] * 4, 1.0)
         with pytest.raises(ContractViolationError):
             schur_feasible(A, [1], [1.0, 2.0], 1.0)
+
+
+    @pytest.mark.parametrize("A,pinned,gains,message", [
+        (np.zeros((0, 0)), [], [], "empty matrix"),
+        (coupling_matrix(star(4)), [4], [1.0], "pinned index 4 outside 0..3"),
+        (coupling_matrix(star(4)), [1, -1], [1.0, 1.0], "pinned index -1 outside 0..3"),
+        (coupling_matrix(star(4)), [1, 2], [1.0, np.nan], "gains must be finite"),
+        (coupling_matrix(star(4)), [1], [np.inf], "gains must be finite"),
+    ], ids=["empty", "pin-above", "pin-negative", "nan-gain", "inf-gain"])
+    def test_refuses_input_naming_it(self, A, pinned, gains, message):
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+            schur_feasible(A, pinned, gains, 1.0)
 
 
 class TestMinUniformGain:
@@ -528,7 +538,7 @@ class TestDiagBounds:
         assert rep.lambda2_bound_holds is None
 
     def test_cluster(self):
-        rep = diag_bounds_check(coupling_matrix(cluster_stars(ClusterSpec((2, 3, 4)))))
+        rep = diag_bounds_check(coupling_matrix(cluster_stars((2, 3, 4))))
         assert rep.diag_within_spectrum is True
         assert rep.lambda2_bound_holds is True
 

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import numpy as np
@@ -7,10 +8,9 @@ from hypothesis import strategies as st
 
 import pinnet.topology
 from conftest import TMP_FILE_SETTINGS, random_connected_graph
-from pinnet.errors import InvalidSizeError, PinnetError
+from pinnet.errors import ContractViolationError, InvalidSizeError, PinnetError
 from pinnet.spectral import eig_symmetric
 from pinnet.topology import (
-    ClusterSpec,
     Graph,
     barabasi_albert,
     cluster_stars,
@@ -66,6 +66,11 @@ class TestGraph:
         with pytest.raises(InvalidSizeError):
             Graph(3, frozenset({(0, 3)}))
 
+    def test_rejects_reversed_edge_naming_the_order(self):
+        with pytest.raises(ContractViolationError,
+                           match=re.escape("edge (2,1) is reversed: store it as (1,2)")):
+            Graph(3, frozenset({(2, 1)}))
+
     def test_from_edges_canonicalises_and_dedupes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
         assert g.edges == frozenset({(0, 2), (1, 2)})
@@ -115,24 +120,24 @@ class TestStar:
 
 class TestClusterStars:
     def test_spec_2_3_4(self):
-        g = cluster_stars(ClusterSpec((2, 3, 4)))
+        g = cluster_stars((2, 3, 4))
         assert g.n_nodes == 12
         deg = degrees(g)
         assert deg[:3] == [4, 5, 6]
         assert deg[3:] == [1] * 9
 
     def test_single_branch_is_two_node_star(self):
-        g = cluster_stars(ClusterSpec((1,)))
+        g = cluster_stars((1,))
         assert g.n_nodes == 2
         assert g.edges == star(2).edges
 
     def test_equal_branches(self):
-        g = cluster_stars(ClusterSpec((3, 3, 3)))
+        g = cluster_stars((3, 3, 3))
         assert g.n_nodes == 12
         assert degrees(g)[:3] == [5, 5, 5]
 
     def test_no_leaf_leaf_or_foreign_edges(self):
-        g = cluster_stars(ClusterSpec((2, 3, 4)))
+        g = cluster_stars((2, 3, 4))
         leaf_owner = {}
         leaf = 3
         for center, size in enumerate((2, 3, 4)):
@@ -145,12 +150,12 @@ class TestClusterStars:
                 assert other == leaf_owner[leaf_node]
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSizeError):
-            ClusterSpec(())
-        with pytest.raises(InvalidSizeError):
-            ClusterSpec((3, 2))
-        with pytest.raises(InvalidSizeError):
-            ClusterSpec((0, 1))
+        with pytest.raises(InvalidSizeError, match="needs at least one branch"):
+            cluster_stars(())
+        with pytest.raises(InvalidSizeError, match=re.escape("ascending, got (3, 2)")):
+            cluster_stars((3, 2))
+        with pytest.raises(InvalidSizeError, match=re.escape(">= 1, got (0, 1)")):
+            cluster_stars((0, 1))
 
 
 class TestBarabasiAlbert:
@@ -260,7 +265,7 @@ class TestCouplingMatrix:
         assert np.array_equal(A, [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_cluster_block_form(self):
-        A = coupling_matrix(cluster_stars(ClusterSpec((2, 3, 4))))
+        A = coupling_matrix(cluster_stars((2, 3, 4)))
         # center block: complete among centers, diagonal -k+1-n_i
         assert np.array_equal(
             A[:3, :3], [[-4.0, 1, 1], [1, -5.0, 1], [1, 1, -6.0]]
@@ -317,7 +322,7 @@ class TestConnectivityAndDegrees:
             assert sum(degrees(g)) == 2 * len(g.edges)
 
     def test_cluster_degrees(self):
-        deg = degrees(cluster_stars(ClusterSpec((2, 3, 4))))
+        deg = degrees(cluster_stars((2, 3, 4)))
         assert deg == [4, 5, 6] + [1] * 9
 
 

@@ -5,22 +5,21 @@
 
 Each `--src LABEL=DIR` names a source tree holding the `pinnet` package, one
 whose `NetworkSystem` holds no plan, whose `harness.build_system` takes a
-graph and whose RHS kernel takes no argument; one `--src` measures a single
-tree. Both trees are imported into this one process, each under a package
-name of its own, and every repeat of every row times the trees back to back,
-alternating which goes first, so both see the same host conditions (the
-host's speed drifts over tens of seconds, more than a 10 % change). Every
-row runs once per tree untimed before the rounds. Measured per tree and
-round:
+graph, whose RHS kernel takes no argument and whose `dynamics._pad` pads the
+member planes; one `--src` measures a single tree. Both trees are imported
+into this one process, each under a package name of its own, and every
+repeat of every row times the trees back to back, alternating which goes
+first, so both see the same host conditions (the host's speed drifts over
+tens of seconds, more than a 10 % change). Every row runs once per tree
+untimed before the rounds. Measured per tree and round:
 
 - `rk4_step_us`: one RK4 step of `integrate_batch` on fig8b's 20-node
   scale-free system with B copies of its plan (B = 1, 2, 3, 5, 12),
   h = 5e-4, 2000 steps, record_every 5, no per-node states; divided by the
   step count;
 - `rhs_us`: one RHS call on fig2's pair (fig2a and fig2b as a batch of two
-  on the 9-node star), 2000 calls; a tree whose `dynamics._pad` exists holds
-  the batch as (n, N, B) planes padded to a multiple of n members, as its
-  integrator does, and the other as a (B, N, n) array;
+  on the 9-node star), 2000 calls, the batch held as (n, N, B) planes padded
+  to a multiple of n members, as the integrator holds it;
 - `reproduce_all_s`: `pinnet reproduce <family> --out DIR` for the seven
   families fig2 ... fig9, summary artifacts;
 - `sweep_op_s`: one operation of perfbench's `sweep_ba` at seed 0, `pinnet
@@ -107,8 +106,7 @@ def rows(pkg: SimpleNamespace) -> dict:
 
     sys_star, pair = network(["fig2a", "fig2b"])
     X = np.array([initial_state(sys_star.target, sys_star.n_nodes, i) for i in range(2)])
-    if hasattr(dynamics, "_pad"):  # members innermost in (n, N, B) planes
-        X, pair = dynamics._pad(X.T, pair)
+    X, pair = dynamics._pad(X.T, pair)
     rhs = dynamics._rhs(sys_star, pair, X, np.empty_like(X))
 
     def calls():
@@ -210,8 +208,8 @@ def main(argv=None) -> int:
         "method": {
             "rk4_step_us": f"integrate_batch on fig8b's system, B copies of its plan, h = {H:g}, "
                            f"{STEPS} steps, record_every 5, no per-node states; time / steps",
-            "rhs_us": f"one RHS call on fig2a + fig2b as a batch of two (padded to three "
-                      f"where the tree pads); {STEPS} calls / {STEPS}",
+            "rhs_us": f"one RHS call on fig2a + fig2b as a batch of two, padded to three; "
+                      f"{STEPS} calls / {STEPS}",
             "reproduce_all_s": "pinnet reproduce of " + ", ".join(FAMILIES)
                                + ", summary artifacts",
             "sweep_op_s": "sweep_ba's seed-0 operation, pinnet " + " ".join(SWEEP_ARGV)
