@@ -461,7 +461,10 @@ def mode_threshold(sys: NetworkSystem) -> float:
                     f"{p.tolist()} (highest power first), are not computable: {exc}"
                 ) from None
     # Real parts of complex roots only add cuts inside intervals of one sign.
-    cuts = np.unique(np.concatenate(roots))
+    # Sorted, less each entry equal to the one before: np.unique's cuts,
+    # without the numpy.ma import that np.unique makes.
+    cuts = np.sort(np.concatenate(roots))
+    cuts = np.delete(cuts, np.flatnonzero(cuts[1:] == cuts[:-1]) + 1)
     reach = 1.0 + 2.0 * np.abs(cuts).max(initial=0.0)
     points = np.concatenate([[-reach], 0.5 * (cuts[1:] + cuts[:-1]), [reach]])
     stable = np.all([np.polyval(p, points) > 0.0 for p in hurwitz], axis=0)

@@ -26,7 +26,7 @@ from .dynamics import (
     mode_threshold,
     sync_time,
 )
-from .errors import DivergenceError, ScenarioDefinitionError
+from .errors import ContractViolationError, DivergenceError, ScenarioDefinitionError
 from .pinning import PinningPlan, cost, plan_to_dict
 from .scenarios import Scenario
 from .spectral import controlled_spectrum
@@ -144,7 +144,10 @@ def run_scenarios(
             networks[s.topology] = g, sys, mode_threshold(sys)
         g, sys, sigma_star = networks[s.topology]
         plan = s.plan.build(g)
-        cf = cost(plan)
+        try:
+            cf = cost(plan)
+        except ContractViolationError as exc:
+            raise ContractViolationError(f"{s.name}: {exc}") from None
         if s.expected_cf is not None and cf != s.expected_cf:
             raise ScenarioDefinitionError(
                 f"{s.name}: cost {cf!r} does not match expected {s.expected_cf!r}"

@@ -73,13 +73,12 @@ class PinningPlan:
 def degree_order(g: Graph, strategy: str) -> list[int]:
     """Every node, highest degree first ("largest") or lowest first ("smallest").
 
-    Ties break toward the smaller node index, so the order is deterministic.
+    Ties break toward the smaller node index, so the order is deterministic:
+    the sort is stable, also in reverse.
     """
     if strategy not in ("largest", "smallest"):
         raise ContractViolationError(f"unknown strategy {strategy!r}")
-    deg = degrees(g)
-    sign = -1 if strategy == "largest" else 1
-    return sorted(range(g.n_nodes), key=lambda i: (sign * deg[i], i))
+    return sorted(range(g.n_nodes), key=degrees(g).__getitem__, reverse=strategy == "largest")
 
 
 def plan_by_degree(
@@ -120,9 +119,19 @@ def cost(plan: PinningPlan) -> float:
     """Cost function CF = c * sum of gains.
 
     fsum keeps the sum exactly rounded, so the cost is invariant under node
-    relabeling.
+    relabeling. Raises ContractViolationError when the cost is not a finite
+    number: each gain is finite, but their sum or its product with c may not be.
     """
-    return plan.coupling_strength * math.fsum(plan.gains)
+    try:
+        cf = plan.coupling_strength * math.fsum(plan.gains)
+    except OverflowError:
+        cf = math.inf
+    if not math.isfinite(cf):
+        raise ContractViolationError(
+            f"cost c * sum(gains) overflows: c = {plan.coupling_strength!r}, "
+            f"gains up to {max(plan.gains)!r} on {plan.pinned_count} pinned nodes"
+        )
+    return cf
 
 
 def controlled_coupling(A: np.ndarray, plan: PinningPlan) -> np.ndarray:

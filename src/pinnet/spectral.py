@@ -8,7 +8,9 @@ inertia). On top of these sit the controlled-spectrum computation,
 closed-form sufficient gain bounds for star and cluster-of-stars networks, a
 feasibility test for a requested spectral margin, and the minimal uniform
 gain in closed form: minus the least eigenvalue of one Schur complement,
-confirmed by the same definiteness test as the feasibility test.
+formed once from one Cholesky factor and one ``eigh`` (whose eigenvector
+gives the Newton step to the confirmation's slack), and confirmed by the
+same definiteness test as the feasibility test.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ def _symmetric(M) -> np.ndarray:
         raise ContractViolationError("empty matrix")
     if not np.all(np.isfinite(M)):
         raise ContractViolationError("matrix has non-finite entries")
-    if float(np.max(np.abs(M - M.T))) > SYMMETRY_TOL * max(1.0, float(np.linalg.norm(M))):
+    asymmetry = float(np.max(np.abs(M - M.T)))
+    # max(1, ||M||_F) >= 1, so the norm is needed only above SYMMETRY_TOL.
+    if asymmetry > SYMMETRY_TOL and asymmetry > SYMMETRY_TOL * float(np.linalg.norm(M)):
         raise ContractViolationError("matrix is not symmetric within 1e-12 * max(1, ||M||_F)")
     return M
 
@@ -212,39 +216,39 @@ def min_uniform_gain(
     matrix at the answer; the returned gain passes that test. With
     M = -(A + level I), M + eps I_P is positive definite exactly when the
     unpinned block M_UU is and so is S + eps I, S = M_PP - M_PU M_UU^{-1} M_UP,
-    so the gain is max(0, -lambda_min(S)), found first with the unpinned
-    block's slack, then with the slack at that estimate. Returns None when no
-    finite gain works: lambda_1 of the controlled matrix tends to that of the
-    unpinned block as the gain grows. Raises BoundaryCaseError when roundoff
-    leaves the answer uncertain by more than tol: an eigenvalue error of one
-    unit roundoff of ||A~||_F moves it by that times 1 + ||z||^2,
-    z = M_UU^{-1} M_UP w for the eigenvector w of lambda_min(S).
+    so the gain is max(0, -lambda_min(S)). S is formed once, with the unpinned
+    block's slack s_UU. Raising the level by d lowers lambda_min(S) by
+    d (1 + ||z||^2), z = M_UU^{-1} M_UP w for the eigenvector w of
+    lambda_min(S), so one Newton step moves the estimate to the slack s_0 of
+    the controlled matrix at the first estimate max(0, -lambda_min(S)).
+    Returns None when no finite gain works: lambda_1 of the controlled matrix
+    tends to that of the unpinned block as the gain grows. An eigenvalue error
+    of one unit roundoff of ||A~||_F moves the answer by
+    err = that times 1 + ||z||^2. The pass and the confirmation round
+    independently, so the answer is taken err above the estimate,
+    eps = max(0, -lambda_min(S) + (s_0 - s_UU) (1 + ||z||^2) + err), and
+    eps + err is tried when eps fails. Raises BoundaryCaseError when err
+    exceeds tol or both fail.
     """
     _positive("tol", tol)
     _positive("margin", margin)
     A, u = _split_blocks(_symmetric(A), pinned)
     n = A.shape[0]
-
-    def schur_complement(slack_of: np.ndarray):
-        """Cholesky factor L of M_UU, L^{-1} M_UP and S, the level's slack from slack_of."""
-        M = -A
-        M.flat[:: n + 1] -= margin + _DEFINITE_SLACK * (1.0 + np.linalg.norm(slack_of))
-        chol = np.linalg.cholesky(M[:u, :u])
-        y = np.linalg.solve(chol, M[:u, u:])
-        return chol, y, M[u:, u:] - y.T @ y
-
+    norm_uu = float(np.linalg.norm(A[:u, :u]))
+    M = -A
+    M.flat[:: n + 1] -= margin + _DEFINITE_SLACK * (1.0 + norm_uu)
     try:
-        eps = max(0.0, -float(np.linalg.eigvalsh(schur_complement(A[:u, :u])[2])[0]))
+        chol = np.linalg.cholesky(M[:u, :u])
     except np.linalg.LinAlgError:
         return None
-    try:
-        chol, y, S = schur_complement(_controlled(A, u, eps))
-        lam, w = np.linalg.eigh(S)
-        z = np.linalg.solve(chol.T, y @ w[:, 0])
-    except np.linalg.LinAlgError:
-        raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
-    eps = max(0.0, -float(lam[0]))
-    err = float(np.finfo(float).eps * np.linalg.norm(_controlled(A, u, eps)) * (1.0 + z @ z))
+    y = np.linalg.solve(chol, M[:u, u:])
+    lam, w = np.linalg.eigh(M[u:, u:] - y.T @ y)
+    z = np.linalg.solve(chol.T, y @ w[:, 0])
+    growth = 1.0 + float(z @ z)
+    estimate = -float(lam[0])
+    norm_0 = float(np.linalg.norm(_controlled(A, u, max(0.0, estimate))))
+    err = float(np.finfo(float).eps * norm_0 * growth)
+    eps = max(0.0, estimate + _DEFINITE_SLACK * (norm_0 - norm_uu) * growth + err)
     if err <= tol:
         for gain in (eps, eps + err):
             if _controlled_below(A, u, gain, margin):

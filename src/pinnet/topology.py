@@ -109,34 +109,36 @@ _RAW_BLOCK = 64
 
 
 def _index_draws(seed: int):
-    """draw(k): the next value of Generator(PCG64(seed)).integers(0, k), for 1 <= k < 2**32.
+    """pick(pool, m): m distinct entries of pool, drawn from Generator(PCG64(seed)).
 
+    Each draw is the value integers(0, k) would give for k = len(pool),
+    1 <= k < 2**32, and indexes pool; an entry already chosen is drawn again.
     numpy draws such a value from the stream's 32-bit words: the low half of
     each 64-bit output, then its high half. A word w maps to (w * k) >> 32
     unless the low 32 bits of w * k fall below (2**32 - k) % k, in which case
     it is rejected and the next word taken (Lemire, arXiv 1805.10941); k = 1
     takes no word. Here the words are read in blocks instead of one
-    Generator call per value, and the values are the same.
+    Generator call per value, one threshold serves all of a pick's draws, and
+    successive picks go on along one stream, so the values are the same.
     """
     bits = np.random.PCG64(seed)
-    words: list[int] = []
-    pos = 0
+    words = chain.from_iterable(iter(
+        lambda: bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist(), None
+    ))
 
-    def draw(k: int) -> int:
-        nonlocal words, pos
+    def pick(pool, m: int) -> set:
+        k = len(pool)
         if k == 1:
-            return 0
+            return {pool[0]}
         threshold = (0x100000000 - k) % k
-        while True:
-            if pos == len(words):
-                words = bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
-                pos = 0
-            product = words[pos] * k
-            pos += 1
+        chosen = set()
+        while len(chosen) < m:
+            product = next(words) * k
             if product & 0xFFFFFFFF >= threshold:
-                return product >> 32
+                chosen.add(pool[product >> 32])
+        return chosen
 
-    return draw
+    return pick
 
 
 def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
@@ -171,17 +173,14 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
             f"degree pool of {pool_size} entries reaches 2**32: n_nodes={n_nodes}, m0={m0}, "
             f"m={m} is too large"
         )
-    draw = _index_draws(seed)
+    pick = _index_draws(seed)
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     # One entry per unit of degree; uniform draws from this list realise
     # degree-proportional attachment.
     degree_pool = [i for i in range(m0) for _ in range(m0 - 1)]
     for new in range(m0, n_nodes):
         # A lone seed node has no degree yet: the first new node takes it.
-        pool = degree_pool or [0]
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(pool[draw(len(pool))])
+        targets = pick(degree_pool or [0], m)
         for t in sorted(targets):
             edges.append((t, new))
             degree_pool.append(t)

@@ -4,6 +4,9 @@
 LAPACK's eigensolvers; the tests use it as the oracle for the package's
 ``eig_symmetric`` (which calls ``np.linalg.eigvalsh``) and for its Cholesky
 definiteness tests.
+``two_pass_min_uniform_gain`` is the package's earlier ``min_uniform_gain``,
+which forms the Schur complement twice, once per slack; it is the oracle for
+the one-pass ``min_uniform_gain`` and its Newton step.
 ``spectral_abscissa_3`` solves the characteristic cubic of a 3x3 matrix in
 closed form; it is the oracle for ``pinnet.dynamics.mode_threshold``, which
 finds the stability threshold from the Routh-Hurwitz polynomials instead.
@@ -19,9 +22,19 @@ from typing import Optional
 
 import numpy as np
 
-from pinnet.errors import ContractViolationError
+from pinnet.errors import BoundaryCaseError, ContractViolationError
 from pinnet.pinning import PinningPlan, cost
-from pinnet.spectral import EigenDecomposition, controlled_spectrum, eig_symmetric
+from pinnet.spectral import (
+    _DEFINITE_SLACK,
+    EigenDecomposition,
+    _controlled,
+    _controlled_below,
+    _positive,
+    _split_blocks,
+    _symmetric,
+    controlled_spectrum,
+    eig_symmetric,
+)
 
 # Stop once the off-diagonal Frobenius mass is negligible against the input.
 _OFF_DIAG_FACTOR = 1e-12
@@ -174,6 +187,47 @@ def evaluate_plan(A: np.ndarray, plan: PinningPlan) -> CostReport:
         pinned_count=plan.pinned_count,
         lambda_max_controlled=controlled_spectrum(A, plan).lambda_max,
     )
+
+
+def two_pass_min_uniform_gain(
+    A: np.ndarray, pinned, margin: float, tol: float
+) -> Optional[float]:
+    """min_uniform_gain with S formed twice: first at the unpinned block's
+    slack, then at the slack of the controlled matrix at that first estimate.
+
+    Same contract as ``pinnet.spectral.min_uniform_gain``; a failed Cholesky
+    of M_UU at the second slack raises BoundaryCaseError.
+    """
+    _positive("tol", tol)
+    _positive("margin", margin)
+    A, u = _split_blocks(_symmetric(A), pinned)
+    n = A.shape[0]
+
+    def schur_complement(slack_of: np.ndarray):
+        """Cholesky factor L of M_UU, L^{-1} M_UP and S, the level's slack from slack_of."""
+        M = -A
+        M.flat[:: n + 1] -= margin + _DEFINITE_SLACK * (1.0 + np.linalg.norm(slack_of))
+        chol = np.linalg.cholesky(M[:u, :u])
+        y = np.linalg.solve(chol, M[:u, u:])
+        return chol, y, M[u:, u:] - y.T @ y
+
+    try:
+        eps = max(0.0, -float(np.linalg.eigvalsh(schur_complement(A[:u, :u])[2])[0]))
+    except np.linalg.LinAlgError:
+        return None
+    try:
+        chol, y, S = schur_complement(_controlled(A, u, eps))
+        lam, w = np.linalg.eigh(S)
+        z = np.linalg.solve(chol.T, y @ w[:, 0])
+    except np.linalg.LinAlgError:
+        raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
+    eps = max(0.0, -float(lam[0]))
+    err = float(np.finfo(float).eps * np.linalg.norm(_controlled(A, u, eps)) * (1.0 + z @ z))
+    if err <= tol:
+        for gain in (eps, eps + err):
+            if _controlled_below(A, u, gain, margin):
+                return gain
+    raise BoundaryCaseError(f"minimal gain {eps!r} uncertain by {err:.3g}, tol {tol:g}")
 
 
 def _cbrt(v: float) -> float:

@@ -224,6 +224,16 @@ def test_sweep_non_finite_value_exits_2_naming_it(vary, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_gain_whose_cost_overflows_exits_2_naming_it(tmp_path, capsys):
+    # Each gain is finite, but c * sum(gains) is not a float.
+    argv = ["sweep", "fig2b", "--vary", "epsilon", "--values", "1e308", "--T", "0.01",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fig2b+epsilon00=1e+308: cost c * sum(gains) overflows")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_unknown_name_exits_2(capsys):
     assert main(["simulate", "fig99"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

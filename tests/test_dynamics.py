@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinnet
 from conftest import random_connected_graph
 from dynamics_oracle import (
     chen_reference_field,
@@ -452,6 +457,20 @@ class TestModeThreshold:
         sys = NetworkSystem(linear_field(F), np.zeros((1, 1)), gamma, np.zeros(3))
         with pytest.raises(NumericalFailureError, match=r"Hurwitz polynomial a1\*a2 - a3"):
             mode_threshold(sys)
+
+    def test_does_not_import_numpy_ma(self):
+        # Nothing else on the run path imports numpy.ma; np.unique would.
+        code = (
+            "import sys\n"
+            "from pinnet.harness import build_system\n"
+            "from pinnet.dynamics import mode_threshold\n"
+            "from pinnet.topology import star\n"
+            "mode_threshold(build_system(star(5)))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(pinnet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_threshold_separates_stability(self):
         sys = chen_star_system()

@@ -118,6 +118,15 @@ class TestCost:
     def test_zero_plan(self):
         assert cost(PinningPlan(4, (0.0,) * 4, 5.0)) == 0.0
 
+    @pytest.mark.parametrize("gains,c", [
+        ((1e308, 1e308), 1.0),  # the sum overflows inside fsum
+        ((1e308, 0.0), 10.0),  # the sum is finite, its product with c is not
+        ((1e308, 1e308), 0.0),  # 0 * inf
+    ])
+    def test_overflowing_cost_refused(self, gains, c):
+        with pytest.raises(ContractViolationError, match=r"cost c \* sum\(gains\) overflows"):
+            cost(PinningPlan(2, gains, c))
+
     def test_permutation_invariance(self, rng):
         gains = tuple(float(g) for g in rng.uniform(0, 5, 12))
         plan = PinningPlan(12, gains, 3.0)

@@ -31,6 +31,7 @@ from spectral_oracle import (
     evaluate_plan,
     gershgorin_check,
     jacobi_eig,
+    two_pass_min_uniform_gain,
 )
 
 
@@ -313,6 +314,87 @@ class TestMinUniformGain:
             assert np.linalg.eigvalsh(controlled)[-1] < -0.5
 
 
+def _design_queries():
+    """perfbench design_ba's seed-1 queries: (graph, pinned nodes)."""
+    rng = np.random.Generator(np.random.PCG64(1))
+    queries = []
+    for n in (30, 39, 33, 36):
+        g = barabasi_albert(n, 3, 3, int(rng.integers(0, 2**63)))
+        queries += [(g, degree_order(g, "smallest")[: n // 2]), (g, degree_order(g, "largest")[:3])]
+    return queries
+
+
+def _one_pass_against_two_pass(A, pinned, margin, tol):
+    """The one-pass answer meets the two-pass oracle's contract on one instance.
+
+    Both give None together; the one pass raises BoundaryCaseError only
+    where the oracle does; answers agree within tol and pass schur_feasible.
+    """
+    try:
+        expected = two_pass_min_uniform_gain(A, pinned, margin, tol)
+    except BoundaryCaseError:
+        expected = BoundaryCaseError
+    try:
+        got = min_uniform_gain(A, pinned, margin, tol)
+    except BoundaryCaseError:
+        assert expected is BoundaryCaseError
+        return
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert schur_feasible(A, pinned, [got] * len(pinned), margin) is True
+        if expected is not BoundaryCaseError:
+            assert abs(got - expected) <= tol
+
+
+class TestOnePassMinGain:
+    @pytest.mark.parametrize("block", range(6))
+    def test_agrees_with_two_pass_oracle(self, block):
+        # Seeded random graphs on 2-12 nodes; odd seeds put the margin within
+        # 1e-6 inside the limit set by the unpinned block, where the gain
+        # grows without bound and roundoff decides the outcome.
+        tol = 1e-6
+        for seed in range(100 * block, 100 * block + 100):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            n = int(rng.integers(2, 13))
+            A = coupling_matrix(random_connected_graph(rng, n))
+            pinned = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+            unpinned = [i for i in range(n) if i not in pinned]
+            limit = -np.linalg.eigvalsh(A[np.ix_(unpinned, unpinned)])[-1]
+            margin = rng.uniform(0.01, 5.0)
+            if seed % 2 and limit > 1e-6:
+                margin = limit - rng.uniform(0.0, 1e-6)
+            _one_pass_against_two_pass(A, pinned, margin, tol)
+
+    @pytest.mark.parametrize("margin", [0.5, 0.05, 1.0])
+    def test_agrees_on_design_queries(self, margin):
+        for g, pinned in _design_queries():
+            _one_pass_against_two_pass(coupling_matrix(g), pinned, margin, 1e-6)
+
+    @pytest.mark.parametrize("query", range(8))
+    def test_one_factorisation_and_one_eigh(self, monkeypatch, query):
+        # One Cholesky of M_UU, one eigh of the Schur complement and no
+        # eigvalsh; every later Cholesky is a confirmation of the whole
+        # controlled matrix.
+        calls = []
+
+        def counted(name):
+            lapack = getattr(np.linalg, name)
+
+            def call(M, *args, **kwargs):
+                calls.append((name, M.shape))
+                return lapack(M, *args, **kwargs)
+
+            return call
+
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        g, pinned = _design_queries()[query]
+        n, p = g.n_nodes, len(pinned)
+        assert min_uniform_gain(coupling_matrix(g), pinned, 0.5, 1e-6) is not None
+        assert calls[:2] == [("cholesky", (n - p, n - p)), ("eigh", (p, p))]
+        assert 3 <= len(calls) <= 4 and set(calls[2:]) == {("cholesky", (n, n))}
+
+
 def _pinned_instance(seed, n):
     """Random connected graph on n nodes with a random proper pinned subset."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -482,7 +564,7 @@ class TestBlockSplit:
             min_uniform_gain(coupling_matrix(star(9)), range(1, 9), 1.0, np.inf)
 
     def test_gain_is_a_python_float(self):
-        # Several of these gains are confirmed only one roundoff step up, at eps + err.
+        # The answer is summed from NumPy scalars and must come back a Python float.
         for seed in range(20):
             _, A, pinned = _pinned_instance(seed, 2 + seed % 8)
             try:

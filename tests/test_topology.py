@@ -229,15 +229,30 @@ class TestBarabasiAlbertDraws:
     def test_index_draws_match_generator_integers(self, k, seed):
         # For k > 1, 300 draws take words from at least three blocks; just
         # above 2**31 about half the words are rejected.
-        draw = pinnet.topology._index_draws(seed)
+        pick = pinnet.topology._index_draws(seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-        assert [draw(k) for _ in range(300)] == [int(rng.integers(0, k)) for _ in range(300)]
+        assert [pick(range(k), 1).pop() for _ in range(300)] == [
+            int(rng.integers(0, k)) for _ in range(300)
+        ]
 
     def test_stream_continues_across_ranges(self):
         ks = [1, 5, 2**31 + 1, 1, 3, 2**32 - 1, 9] * 40
-        draw = pinnet.topology._index_draws(42)
+        pick = pinnet.topology._index_draws(42)
         rng = np.random.Generator(np.random.PCG64(42))
-        assert [draw(k) for k in ks] == [int(rng.integers(0, k)) for k in ks]
+        assert [pick(range(k), 1).pop() for k in ks] == [int(rng.integers(0, k)) for k in ks]
+
+    def test_pick_redraws_a_chosen_entry(self):
+        # Entries repeat in the pool, so some draws land on a chosen entry and
+        # are drawn again; the picks go on along one stream.
+        pool, m = [0, 0, 0, 1, 2, 2, 3], 3
+        for seed in range(50):
+            pick = pinnet.topology._index_draws(seed)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            for _ in range(4):
+                expected: set = set()
+                while len(expected) < m:
+                    expected.add(pool[int(rng.integers(0, len(pool)))])
+                assert pick(pool, m) == expected
 
     @pytest.mark.parametrize("n,m0,m", [
         (2**31, 3, 3),  # pool 6 * 2**31 - 12
