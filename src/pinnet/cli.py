@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import PinnetError, ScenarioDefinitionError, checked, field, known_keys, read_json
+from .errors import (InvalidSizeError, PinnetError, ScenarioDefinitionError, checked, field,
+                     known_keys, read_json)
 from .harness import run_scenarios, sweep, write_report
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
@@ -103,7 +104,12 @@ def _cmd_topology(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = read_edge_list(args.edges)
-    A = coupling_matrix(g)
+    try:
+        A = coupling_matrix(g)
+    except (MemoryError, ValueError):  # numpy refuses arrays it cannot hold
+        raise InvalidSizeError(
+            f"{args.edges}: N {g.n_nodes} is too large: the dense coupling matrix cannot be allocated"
+        ) from None
     if args.plan is not None:
         plan = read_plan(args.plan)
         if plan.n_nodes != g.n_nodes:

@@ -27,9 +27,10 @@ from .errors import (
     DivergenceError,
     NumericalFailureError,
     RegionShapeError,
+    positive,
 )
 from .pinning import PinningPlan
-from .spectral import _positive, eig_symmetric
+from .spectral import eig_symmetric
 
 __all__ = [
     "NodeDynamics",
@@ -76,7 +77,7 @@ class ChenParameters:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            _positive(f"Chen parameter {name}", getattr(self, name))
+            positive(f"Chen parameter {name}", getattr(self, name))
         if 2.0 * self.c - self.a <= 0:
             raise ContractViolationError("need 2c - a > 0 for real equilibria")
 
@@ -284,12 +285,13 @@ def integrate_batch(
     `record_every` steps (per-node states only if `record_states`), or, for a
     member gone non-finite, its DivergenceError; the others run on.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ContractViolationError(f"h must be positive and finite, got {h!r}")
+    positive("h", h)
     if not (math.isfinite(T) and T >= h):
         raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
     if record_every < 1:
         raise ContractViolationError("record_every must be >= 1")
+    if not math.isfinite(T / h):
+        raise ContractViolationError(f"T={T!r} / h={h!r} overflows: no finite step count")
     steps = int(round(T / h))
     if not (math.isclose(steps * h, T, rel_tol=1e-9) and steps % record_every == 0):
         raise ContractViolationError(
@@ -317,9 +319,16 @@ def integrate_batch(
                 f"{RK4_STABILITY_SPAN:g}/{stiffness:g} = {RK4_STABILITY_SPAN / stiffness:.3g}"
             )
 
-    times = np.empty(steps // record_every + 1)
-    states = np.empty(times.shape + shape) if record_states else None
-    errors = np.empty(times.shape + shape[:1])
+    records = steps // record_every + 1
+    try:
+        times = np.empty(records)
+        states = np.empty(times.shape + shape) if record_states else None
+        errors = np.empty(times.shape + shape[:1])
+    except (MemoryError, ValueError):  # numpy refuses arrays it cannot hold
+        raise ContractViolationError(
+            f"horizon T={T!r} at h={h!r} and record_every={record_every} needs {records} "
+            f"records, more than can be allocated"
+        ) from None
     out: list = [None] * len(plans)
     # The members still integrating, in state columns 0, 1, ...: those with
     # c != 0 first, as _rhs takes them, each side in the order given.
@@ -403,8 +412,7 @@ def integrate_batch(
 
 def sync_time(result: SimulationResult, tol: float) -> Optional[float]:
     """Earliest recorded time after which the error stays below tol; None if never."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ContractViolationError(f"tol must be positive and finite, got {tol!r}")
+    positive("tol", tol)
     above = np.nonzero(result.error_metric >= tol)[0]
     if len(above) == 0:
         return float(result.times[0])

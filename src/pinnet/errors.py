@@ -6,6 +6,7 @@ The CLI exits with 2 on any of these; a run whose state blew up is a
 """
 
 import json
+import math
 import numbers
 
 
@@ -55,6 +56,13 @@ class DivergenceError(PinnetError, RuntimeError):
 
 class ScenarioDefinitionError(PinnetError, ValueError):
     """A scenario file or definition is internally inconsistent."""
+
+
+def positive(name: str, value, error: type = ContractViolationError) -> None:
+    """Refuse `value` with `error`, "<name> must be finite and positive, got
+    <repr>", unless it is a finite number above 0; NaN fails `value > 0`."""
+    if not (value > 0 and math.isfinite(value)):
+        raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}

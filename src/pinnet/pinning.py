@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import (ContractViolationError, PinnetError, ScenarioDefinitionError, field,
-                     known_keys, read_json)
+                     known_keys, positive, read_json)
 from .topology import Graph, degrees
 
 __all__ = [
@@ -88,10 +88,8 @@ def plan_by_degree(
     order = degree_order(g, strategy)
     if not (1 <= count <= g.n_nodes):
         raise ContractViolationError(f"count {count} outside 1..{g.n_nodes}")
-    if epsilon <= 0:
-        raise ContractViolationError("epsilon must be positive")
-    if c <= 0:
-        raise ContractViolationError("coupling strength must be positive")
+    positive("epsilon", epsilon)
+    positive("coupling strength", c)
     gains = [0.0] * g.n_nodes
     for i in order[:count]:
         gains[i] = float(epsilon)
@@ -109,8 +107,7 @@ def plan_explicit(
     for node, gain in gains_by_node.items():
         if not (0 <= node < n_nodes):
             raise ContractViolationError(f"node index {node} outside 0..{n_nodes - 1}")
-        if gain <= 0:
-            raise ContractViolationError(f"pinned node {node} needs a positive gain")
+        positive(f"gain of pinned node {node}", gain)
         gains[node] = float(gain)
     return PinningPlan(n_nodes, tuple(gains), float(c))
 

@@ -15,13 +15,12 @@ synchronizing run crosses its tolerance with at least 20% slack.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .errors import ScenarioDefinitionError, checked, field, known_keys
+from .errors import ScenarioDefinitionError, checked, field, known_keys, positive
 from .pinning import PinningPlan, degree_order, pins_from_dict, plan_by_degree, plan_explicit
 from .topology import Graph, barabasi_albert, cluster_stars, star
 
@@ -179,9 +178,7 @@ class SimParams:
 
     def __post_init__(self):
         for name in ("h", "T", "tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ScenarioDefinitionError(f"sim.{name} must be finite and > 0, got {value!r}")
+            positive(f"sim.{name}", getattr(self, name), ScenarioDefinitionError)
         if self.record_every < 1:
             raise ScenarioDefinitionError(f"sim.record_every must be >= 1, got {self.record_every}")
         seed = self.init_seed

@@ -15,14 +15,13 @@ same definiteness test as the feasibility test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import (BoundaryCaseError, BoundUndefinedError, ContractViolationError,
-                     NumericalFailureError)
+                     NumericalFailureError, positive)
 from .pinning import PinningPlan, controlled_coupling
 
 __all__ = [
@@ -113,11 +112,6 @@ def controlled_spectrum(A: np.ndarray, plan: PinningPlan) -> EigenDecomposition:
     return eig_symmetric(controlled_coupling(A, plan))
 
 
-def _positive(name: str, value: float, error: type = ContractViolationError) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise error(f"{name} must be finite and positive, got {value!r}")
-
-
 def star_leaf_gain_bound(n_nodes: int, margin: float) -> float:
     """Sufficient uniform gain for pinning every leaf of a star network.
 
@@ -125,7 +119,7 @@ def star_leaf_gain_bound(n_nodes: int, margin: float) -> float:
     controlled coupling matrix below -margin. Requires margin < n_nodes - 1
     by a unit; outside that the bound is undefined.
     """
-    _positive("margin", margin, BoundUndefinedError)
+    positive("margin", margin, BoundUndefinedError)
     if n_nodes - margin - 1 <= 0:
         raise BoundUndefinedError(
             f"bound undefined: need n_nodes - margin - 1 > 0, got {n_nodes - margin - 1}"
@@ -140,7 +134,7 @@ def cluster_leaf_gain_bound(n1: int, margin: float) -> float:
     strictly above the returned value pushes all controlled eigenvalues
     below -margin. Requires n1 > margin.
     """
-    _positive("margin", margin, BoundUndefinedError)
+    positive("margin", margin, BoundUndefinedError)
     if n1 <= margin:
         raise BoundUndefinedError(f"bound undefined: need n1 > margin, got n1={n1}")
     return max(margin - 1.0, margin * (n1 + 1.0 - margin) / (n1 - margin))
@@ -196,7 +190,7 @@ def schur_feasible(A_full: np.ndarray, pinned: Iterable[int], gains, alpha: floa
     negative definite and so is the Schur complement
     A2 - D + alpha*I - A12^T (A1 + alpha*I)^{-1} A12.
     """
-    _positive("alpha", alpha)
+    positive("alpha", alpha)
     pinned = list(pinned)
     P, u = _split_blocks(_symmetric(A_full), pinned)
     gains = np.asarray(gains, dtype=float)
@@ -230,8 +224,8 @@ def min_uniform_gain(
     eps + err is tried when eps fails. Raises BoundaryCaseError when err
     exceeds tol or both fail.
     """
-    _positive("tol", tol)
-    _positive("margin", margin)
+    positive("tol", tol)
+    positive("margin", margin)
     A, u = _split_blocks(_symmetric(A), pinned)
     n = A.shape[0]
     norm_uu = float(np.linalg.norm(A[:u, :u]))

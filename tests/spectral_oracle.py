@@ -22,14 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from pinnet.errors import BoundaryCaseError, ContractViolationError
+from pinnet.errors import BoundaryCaseError, ContractViolationError, positive
 from pinnet.pinning import PinningPlan, cost
 from pinnet.spectral import (
     _DEFINITE_SLACK,
     EigenDecomposition,
     _controlled,
     _controlled_below,
-    _positive,
     _split_blocks,
     _symmetric,
     controlled_spectrum,
@@ -198,8 +197,8 @@ def two_pass_min_uniform_gain(
     Same contract as ``pinnet.spectral.min_uniform_gain``; a failed Cholesky
     of M_UU at the second slack raises BoundaryCaseError.
     """
-    _positive("tol", tol)
-    _positive("margin", margin)
+    positive("tol", tol)
+    positive("margin", margin)
     A, u = _split_blocks(_symmetric(A), pinned)
     n = A.shape[0]
 

@@ -220,7 +220,7 @@ def test_sweep_non_finite_value_exits_2_naming_it(vary, tmp_path, capsys):
     # nan <= 0 is false: the value must be refused as such, not as a bad gain.
     argv = ["sweep", "fig2b", "--vary", vary, "--values", "1,nan", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert "sweep values must be finite and positive, got nan at position 1" in capsys.readouterr().err
+    assert "sweep value at position 1 must be finite and positive, got nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -322,7 +322,7 @@ def test_sweep_full_writes_per_node_states(tmp_path, capsys):
 def test_non_finite_step_parameters_exit_2(flag, value, field, capsys):
     assert main(["simulate", "fig2b", f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
-    assert f"{field} must be finite and > 0" in err
+    assert f"error: {field} must be finite and positive, got {float(value)!r}" in err
 
 
 @pytest.mark.parametrize("T", ["0.00126", "0.0035"])
@@ -333,6 +333,43 @@ def test_horizon_off_the_record_grid_exits_2(T, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"T={T}" in err and "h=0.0005" in err and "record_every=5" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_step_count_that_overflows_exits_2(tmp_path, capsys):
+    # T / h is 8e321, past the largest float: no step count exists.
+    out = tmp_path / "out"
+    assert main(["simulate", "fig3b", "--h", "5e-324", "--T", "0.004", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: T=0.004 / h=5e-324 overflows" in err
+    assert not out.exists()
+
+
+# numpy refuses both record arrays without allocating: 2e18 float64 records
+# exceed its largest array size, and 2**64 / 1e-4 steps its largest dimension.
+@pytest.mark.parametrize("T,records", [(1e15, 2 * 10**18 + 1), (2**64, None)],
+                         ids=["too-big", "too-many"])
+@pytest.mark.parametrize("full", [False, True], ids=["summary", "full"])
+def test_horizon_whose_records_cannot_be_allocated_exits_2(T, records, full, tmp_path, capsys):
+    d = get_scenario("fig2a").to_dict()
+    d["sim"]["T"] = T
+    path, out = tmp_path / "long.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["simulate", str(path), "--out", str(out)] + ["--full"] * full) == 2
+    err = capsys.readouterr().err
+    assert f"horizon T={float(T)!r} at h=0.0001 and record_every=5 needs" in err
+    if records is not None:
+        assert f"needs {records} records" in err
+    assert not out.exists()
+
+
+def test_spectrum_of_an_edge_list_too_large_for_a_dense_matrix_exits_2(tmp_path, capsys):
+    # No N x N matrix of 2**40 nodes can be held: numpy refuses it at once.
+    edges = tmp_path / "huge.edges"
+    edges.write_text(f"N {2**40}\n0 1\n")
+    assert main(["spectrum", "--edges", str(edges)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {edges}: N {2**40} is too large" in captured.err
+    assert captured.out == ""
 
 
 def test_negative_seed_exits_2(capsys):

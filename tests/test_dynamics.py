@@ -329,7 +329,8 @@ class TestSyncMetrics:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_sync_time_refuses_non_finite_tol(self, tol):
         # An error that never drops must not read as synchronized at t = 0.
-        with pytest.raises(ContractViolationError, match=rf"finite, got {tol!r}$"):
+        with pytest.raises(ContractViolationError,
+                           match=rf"^tol must be finite and positive, got {tol!r}$"):
             sync_time(self._result([1.0, 0.5, 0.2]), tol)
 
 

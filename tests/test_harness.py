@@ -310,7 +310,7 @@ class TestSweep:
     @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf, 0.0])
     def test_refuses_a_non_finite_or_nonpositive_value_naming_it(self, bad):
         with pytest.raises(ScenarioDefinitionError,
-                           match=rf"finite and positive, got {bad!r} at position 1$"):
+                           match=rf"^sweep value at position 1 must be finite and positive, got {bad!r}$"):
             sweep(get_scenario("fig2b"), "epsilon", [1.0, bad, 2.0])
 
     def test_zero_gain_plan_cannot_sweep_epsilon(self):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,11 +44,17 @@ class TestPlanByDegree:
             plan_by_degree(star(5), "largest", 0, 1.0, 1.0)
 
     @pytest.mark.parametrize("epsilon,c,message", [
-        (0.0, 1.0, "epsilon must be positive"),
-        (-1.5, 1.0, "epsilon must be positive"),
-        (1.0, 0.0, "coupling strength must be positive"),
-        (1.0, -2.0, "coupling strength must be positive"),
-    ])
+        (0.0, 1.0, "epsilon must be finite and positive, got 0.0"),
+        (-1.5, 1.0, "epsilon must be finite and positive, got -1.5"),
+        (1.0, 0.0, "coupling strength must be finite and positive, got 0.0"),
+        (1.0, -2.0, "coupling strength must be finite and positive, got -2.0"),
+        # NaN passes `<= 0`: it must be refused by name, not as a bad plan.
+        (math.nan, 1.0, "epsilon must be finite and positive, got nan"),
+        (1.0, math.inf, "coupling strength must be finite and positive, got inf"),
+    ], ids=["0.0-1.0-epsilon must be positive", "-1.5-1.0-epsilon must be positive",
+            "1.0-0.0-coupling strength must be positive",
+            "1.0--2.0-coupling strength must be positive",
+            "nan-1.0-epsilon must be finite", "1.0-inf-coupling strength must be finite"])
     def test_nonpositive_gain_or_coupling(self, epsilon, c, message):
         with pytest.raises(ContractViolationError, match=f"^{message}$"):
             plan_by_degree(star(5), "largest", 1, epsilon, c)
@@ -86,6 +93,12 @@ class TestPlanExplicit:
     def test_nonpositive_gain(self):
         with pytest.raises(ContractViolationError):
             plan_explicit(5, {2: 0.0}, 1.0)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -1.0])
+    def test_gain_refused_naming_its_node(self, gain):
+        with pytest.raises(ContractViolationError,
+                           match=rf"^gain of pinned node 2 must be finite and positive, got {gain!r}$"):
+            plan_explicit(5, {2: gain}, 1.0)
 
 
 class TestPlanContract:

@@ -1,7 +1,7 @@
 """Layer timings of pinnet for a before/after pair of source trees.
 
     python tools/bench_layers.py --src parent=<parent checkout>/src --src change=src \
-        --rounds 10 --out BENCH_<pr>.json
+        --rounds 10 --out BENCH_<pr>.json [--rows design_query_us,graph_build_us]
 
 Each `--src LABEL=DIR` names a source tree holding the `pinnet` package, one
 whose `NetworkSystem` holds no plan, whose `harness.build_system` takes a
@@ -34,6 +34,7 @@ untimed before the rounds. Measured per tree and round:
 - `graph_build_us`: `barabasi_albert` alone for the same eight queries' graphs,
   one pass over the eight, per graph.
 
+`--rows` names the rows to time, comma-separated; the default is all of them.
 Per tree the output holds every round's value and their median; for two
 trees, per row, the ratio first / second of the medians, the median of the
 per-round ratios and the number of rounds in which the first tree was
@@ -65,8 +66,9 @@ DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
 SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
 SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
               ",".join(repr(g) for g in SWEEP_GAINS), "--T", "2.0"]
-# The rows with one number per tree and round.
+# The rows with one number per tree and round, and all rows.
 SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us")
+ROWS = ("rk4_step_us", *SCALAR_ROWS)
 MODULES = ("cli", "dynamics", "harness", "pinning", "scenarios", "spectral", "topology")
 
 
@@ -174,6 +176,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5,
                         help="timed repeats per row and tree, the trees alternating")
     parser.add_argument("--out", type=Path, help="JSON file to write the results into")
+    parser.add_argument("--rows", default=",".join(ROWS),
+                        help="comma-separated rows to time (default: all of " + ", ".join(ROWS) + ")")
     args = parser.parse_args(argv)
 
     trees = [spec.partition("=")[::2] for spec in args.src]
@@ -181,11 +185,14 @@ def main(argv=None) -> int:
         parser.error("give --src LABEL=DIR once or twice")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    selected = args.rows.split(",")
+    if any(row not in ROWS for row in selected):
+        parser.error(f"--rows takes names from {', '.join(ROWS)}, got {args.rows!r}")
 
     work = {label: rows(load(f"_pinnet_tree{i}", src)) for i, (label, src) in enumerate(trees)}
     labels = [label for label, _ in trees]
     runs: dict = {label: {row: [] for row in work[label]} for label in labels}
-    for row in work[labels[0]]:
+    for row in [row for row in work[labels[0]] if row.split("/")[0] in selected]:
         for label in labels:
             work[label][row][0]()
         for r in range(args.rounds):
@@ -198,27 +205,31 @@ def main(argv=None) -> int:
                                      for label in labels), file=sys.stderr)
 
     def per_row(fn):
-        """fn over each row's values, rk4_step_us keyed by batch size."""
+        """fn over each selected row's values, rk4_step_us keyed by batch size."""
         return {
-            "rk4_step_us": {str(B): fn(f"rk4_step_us/{B}") for B in BATCH_SIZES},
-            **{row: fn(row) for row in SCALAR_ROWS},
+            row: {str(B): fn(f"{row}/{B}") for B in BATCH_SIZES} if row == "rk4_step_us"
+            else fn(row)
+            for row in ROWS if row in selected
         }
 
+    method = {
+        "rk4_step_us": f"integrate_batch on fig8b's system, B copies of its plan, h = {H:g}, "
+                       f"{STEPS} steps, record_every 5, no per-node states; time / steps",
+        "rhs_us": f"one RHS call on fig2a + fig2b as a batch of two, padded to three; "
+                  f"{STEPS} calls / {STEPS}",
+        "reproduce_all_s": "pinnet reproduce of " + ", ".join(FAMILIES)
+                           + ", summary artifacts",
+        "sweep_op_s": "sweep_ba's seed-0 operation, pinnet " + " ".join(SWEEP_ARGV)
+                      + " through cli.main into a temporary directory",
+        "design_query_us": f"design_ba's eight seed-{DESIGN_SEED} queries (graph build, "
+                           f"min_uniform_gain, schur_feasible, controlled_spectrum's "
+                           f"lambda_max); one pass / 8",
+        "graph_build_us": f"barabasi_albert for the graphs of design_ba's eight "
+                          f"seed-{DESIGN_SEED} queries; one pass / 8",
+    }
     layers: dict = {
         "method": {
-            "rk4_step_us": f"integrate_batch on fig8b's system, B copies of its plan, h = {H:g}, "
-                           f"{STEPS} steps, record_every 5, no per-node states; time / steps",
-            "rhs_us": f"one RHS call on fig2a + fig2b as a batch of two, padded to three; "
-                      f"{STEPS} calls / {STEPS}",
-            "reproduce_all_s": "pinnet reproduce of " + ", ".join(FAMILIES)
-                               + ", summary artifacts",
-            "sweep_op_s": "sweep_ba's seed-0 operation, pinnet " + " ".join(SWEEP_ARGV)
-                          + " through cli.main into a temporary directory",
-            "design_query_us": f"design_ba's eight seed-{DESIGN_SEED} queries (graph build, "
-                               f"min_uniform_gain, schur_feasible, controlled_spectrum's "
-                               f"lambda_max); one pass / 8",
-            "graph_build_us": f"barabasi_albert for the graphs of design_ba's eight "
-                              f"seed-{DESIGN_SEED} queries; one pass / 8",
+            **{row: text for row, text in method.items() if row in selected},
             "rounds": f"{args.rounds} per row and tree, both trees in one process, each row "
                       "run once per tree untimed first, the trees timed back to back and "
                       "alternating which goes first",
