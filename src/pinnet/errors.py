@@ -8,6 +8,7 @@ The CLI exits with 2 on any of these; a run whose state blew up is a
 import json
 import math
 import numbers
+import sys
 
 
 class PinnetError(Exception):
@@ -32,7 +33,7 @@ class BoundUndefinedError(PinnetError, ValueError):
 
 
 class BoundaryCaseError(PinnetError, RuntimeError):
-    """A definiteness test sits on a knife edge and the outcome is indeterminate."""
+    """Roundoff leaves a minimal uniform gain uncertain beyond its tolerance."""
 
 
 class RegionShapeError(PinnetError, RuntimeError):
@@ -83,7 +84,10 @@ def checked(value, kind: type, name: str):
         ok = isinstance(value, kind)
     if not ok or (kind in (int, float) and isinstance(value, bool)):
         raise ScenarioDefinitionError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioDefinitionError(f"{name} is an integer too large for a float") from None
 
 
 def _object(d, where: str) -> None:
@@ -128,8 +132,8 @@ def read_text(path) -> str:
 
 
 def read_json(path):
-    """The JSON document in the file `path`; malformed JSON or a repeated key
-    in an object raises a PinnetError naming the file."""
+    """The JSON document in the file `path`; malformed JSON, a repeated key or
+    an integer over int()'s digit limit raises a PinnetError naming the file."""
     text = read_text(path)
 
     def unique_keys(pairs):
@@ -144,3 +148,8 @@ def read_json(path):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ContractViolationError(f"{path}: not JSON ({exc})") from None
+    except PinnetError:  # a repeated key, already named with the file
+        raise
+    except ValueError:  # int() refuses an integer literal over its digit limit
+        raise ContractViolationError(
+            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from None

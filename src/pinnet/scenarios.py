@@ -147,6 +147,9 @@ class PlanSpec(_Recipe):
         if self.kind == "by_degree":
             return plan_by_degree(g, self.strategy, int(self.count), float(self.gain), self.c)
         if self.kind == "mixed":
+            for name in ("largest", "smallest"):
+                if not 0 <= (count := getattr(self, name)) <= g.n_nodes:
+                    raise ScenarioDefinitionError(f"plan.{name} {count} outside 0..{g.n_nodes}")
             big = degree_order(g, "largest")[: int(self.largest)]
             small = degree_order(g, "smallest")[: int(self.smallest)]
             if set(big) & set(small):

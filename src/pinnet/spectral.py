@@ -75,16 +75,16 @@ def _symmetric(M) -> np.ndarray:
     return M
 
 
-def _below(M: np.ndarray, level: float, norm: float) -> bool:
+def _below(M: np.ndarray, level: float) -> bool:
     """Whether every eigenvalue of the symmetric matrix M lies below -level.
 
     Factorises -(M + (level + slack) I) by Cholesky, which succeeds exactly
-    when that matrix is positive definite; slack = 1e-12 * (1 + norm), with
-    norm = ||M||_F, absorbs the factorisation's roundoff, so an eigenvalue on
-    -level counts as not below it.
+    when that matrix is positive definite; slack = 1e-12 * (1 + ||M||_F)
+    absorbs the factorisation's roundoff, so an eigenvalue on -level counts
+    as not below it.
     """
     shifted = -M
-    shifted.flat[:: M.shape[0] + 1] -= level + _DEFINITE_SLACK * (1.0 + norm)
+    shifted.flat[:: M.shape[0] + 1] -= level + _DEFINITE_SLACK * (1.0 + np.linalg.norm(M))
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -140,65 +140,50 @@ def cluster_leaf_gain_bound(n1: int, margin: float) -> float:
     return max(margin - 1.0, margin * (n1 + 1.0 - margin) / (n1 - margin))
 
 
-def _split_blocks(A: np.ndarray, pinned: Iterable[int]) -> tuple[np.ndarray, int]:
-    """A with unpinned nodes first, then pinned, each ascending, and the unpinned count.
+def _pins(n: int, pinned: Iterable[int]) -> np.ndarray:
+    """The pinned node indices of an n-node matrix as an index array, in order.
 
     Refuses pins that are not integers (bools included), lie outside 0..n-1
     or repeat, and a pinned set that is empty or holds every node.
     """
-    n = A.shape[0]
     pinned = list(pinned)
     for i in pinned:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ContractViolationError(f"pinned index {i!r} is not an integer")
         if not 0 <= i < n:
             raise ContractViolationError(f"pinned index {i} outside 0..{n - 1}")
-    mask = np.zeros(n, dtype=bool)
-    mask[pinned] = True
-    u = n - np.count_nonzero(mask)
-    if not 0 < len(pinned) == n - u < n:
+    if not 0 < len(pinned) == len(set(pinned)) < n:
         raise ContractViolationError("pinned nodes must be distinct, nonempty and a proper subset")
-    order = np.argsort(mask, kind="stable")  # unpinned (False) first, each group ascending
-    return A.take(order, 0).take(order, 1), u
+    return np.array(pinned, dtype=np.intp)
 
 
-def _controlled(P: np.ndarray, u: int, gains) -> np.ndarray:
-    """A copy of P less gains on its pinned diagonal.
-
-    P is permuted by _split_blocks with u unpinned nodes; gains is one gain,
-    or one for every pinned node in P's order.
-    """
-    n = P.shape[0]
-    a_ctrl = P.copy()
-    a_ctrl.flat[u * (n + 1) :: n + 1] -= gains
+def _controlled(A: np.ndarray, pins: np.ndarray, gains) -> np.ndarray:
+    """A copy of A less gains on the diagonal at pins; gains is one gain, or
+    one for every pin in pins' order."""
+    a_ctrl = A.copy()
+    a_ctrl.flat[pins * (A.shape[0] + 1)] -= gains
     return a_ctrl
-
-
-def _controlled_below(P: np.ndarray, u: int, gains, level: float) -> bool:
-    """Whether _controlled(P, u, gains) lies below -level."""
-    a_ctrl = _controlled(P, u, gains)
-    return _below(a_ctrl, level, np.linalg.norm(a_ctrl))
 
 
 def schur_feasible(A_full: np.ndarray, pinned: Iterable[int], gains, alpha: float) -> bool:
     """Whether the controlled spectrum lies below -alpha.
 
     The controlled matrix is A_full - D, D carrying gains[i] on node pinned[i],
-    and it is tested whole by the definiteness test. By Haynsworth's inertia
-    additivity this decides the block test: with the unpinned block A1 first,
-    the controlled matrix is below -alpha*I exactly when A1 + alpha*I is
-    negative definite and so is the Schur complement
+    and it is tested whole, in node order, by the definiteness test. By
+    Haynsworth's inertia additivity this decides the block test: with the
+    unpinned block A1 first, the controlled matrix is below -alpha*I exactly
+    when A1 + alpha*I is negative definite and so is the Schur complement
     A2 - D + alpha*I - A12^T (A1 + alpha*I)^{-1} A12.
     """
     positive("alpha", alpha)
-    pinned = list(pinned)
-    P, u = _split_blocks(_symmetric(A_full), pinned)
+    A_full = _symmetric(A_full)
+    pins = _pins(A_full.shape[0], pinned)
     gains = np.asarray(gains, dtype=float)
-    if gains.shape != (P.shape[0] - u,):
-        raise ContractViolationError(f"expected {P.shape[0] - u} gains, got shape {gains.shape}")
+    if gains.shape != pins.shape:
+        raise ContractViolationError(f"expected {len(pins)} gains, got shape {gains.shape}")
     if not np.all(np.isfinite(gains)):
         raise ContractViolationError("gains must be finite")
-    return _controlled_below(P, u, gains[np.argsort(pinned)], alpha)
+    return _below(_controlled(A_full, pins, gains), alpha)
 
 
 def min_uniform_gain(
@@ -226,10 +211,13 @@ def min_uniform_gain(
     """
     positive("tol", tol)
     positive("margin", margin)
-    A, u = _split_blocks(_symmetric(A), pinned)
+    A = _symmetric(A)
     n = A.shape[0]
-    norm_uu = float(np.linalg.norm(A[:u, :u]))
-    M = -A
+    pins = _pins(n, pinned)
+    u = n - len(pins)
+    order = np.argsort(np.bincount(pins, minlength=n), kind="stable")  # unpinned first
+    M = (-A).take(order, 0).take(order, 1)
+    norm_uu = float(np.linalg.norm(M[:u, :u]))
     M.flat[:: n + 1] -= margin + _DEFINITE_SLACK * (1.0 + norm_uu)
     try:
         chol = np.linalg.cholesky(M[:u, :u])
@@ -240,11 +228,11 @@ def min_uniform_gain(
     z = np.linalg.solve(chol.T, y @ w[:, 0])
     growth = 1.0 + float(z @ z)
     estimate = -float(lam[0])
-    norm_0 = float(np.linalg.norm(_controlled(A, u, max(0.0, estimate))))
+    norm_0 = float(np.linalg.norm(_controlled(A, pins, max(0.0, estimate))))
     err = float(np.finfo(float).eps * norm_0 * growth)
     eps = max(0.0, estimate + _DEFINITE_SLACK * (norm_0 - norm_uu) * growth + err)
     if err <= tol:
         for gain in (eps, eps + err):
-            if _controlled_below(A, u, gain, margin):
+            if _below(_controlled(A, pins, gain), margin):
                 return gain
     raise BoundaryCaseError(f"minimal gain {eps!r} uncertain by {err:.3g}, tol {tol:g}")

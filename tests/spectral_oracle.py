@@ -27,9 +27,9 @@ from pinnet.pinning import PinningPlan, cost
 from pinnet.spectral import (
     _DEFINITE_SLACK,
     EigenDecomposition,
+    _below,
     _controlled,
-    _controlled_below,
-    _split_blocks,
+    _pins,
     _symmetric,
     controlled_spectrum,
     eig_symmetric,
@@ -199,32 +199,37 @@ def two_pass_min_uniform_gain(
     """
     positive("tol", tol)
     positive("margin", margin)
-    A, u = _split_blocks(_symmetric(A), pinned)
+    A = _symmetric(A)
     n = A.shape[0]
+    pins = _pins(n, pinned)
+    unpinned = np.setdiff1d(np.arange(n), pins)
+    u = len(unpinned)
+    order = np.concatenate([unpinned, np.sort(pins)])
+    P = A[np.ix_(order, order)]  # unpinned nodes first, then pinned, each ascending
 
     def schur_complement(slack_of: np.ndarray):
         """Cholesky factor L of M_UU, L^{-1} M_UP and S, the level's slack from slack_of."""
-        M = -A
+        M = -P
         M.flat[:: n + 1] -= margin + _DEFINITE_SLACK * (1.0 + np.linalg.norm(slack_of))
         chol = np.linalg.cholesky(M[:u, :u])
         y = np.linalg.solve(chol, M[:u, u:])
         return chol, y, M[u:, u:] - y.T @ y
 
     try:
-        eps = max(0.0, -float(np.linalg.eigvalsh(schur_complement(A[:u, :u])[2])[0]))
+        eps = max(0.0, -float(np.linalg.eigvalsh(schur_complement(P[:u, :u])[2])[0]))
     except np.linalg.LinAlgError:
         return None
     try:
-        chol, y, S = schur_complement(_controlled(A, u, eps))
+        chol, y, S = schur_complement(_controlled(A, pins, eps))
         lam, w = np.linalg.eigh(S)
         z = np.linalg.solve(chol.T, y @ w[:, 0])
     except np.linalg.LinAlgError:
         raise BoundaryCaseError("unpinned block within roundoff of -margin") from None
     eps = max(0.0, -float(lam[0]))
-    err = float(np.finfo(float).eps * np.linalg.norm(_controlled(A, u, eps)) * (1.0 + z @ z))
+    err = float(np.finfo(float).eps * np.linalg.norm(_controlled(A, pins, eps)) * (1.0 + z @ z))
     if err <= tol:
         for gain in (eps, eps + err):
-            if _controlled_below(A, u, gain, margin):
+            if _below(_controlled(A, pins, gain), margin):
                 return gain
     raise BoundaryCaseError(f"minimal gain {eps!r} uncertain by {err:.3g}, tol {tol:g}")
 

@@ -387,6 +387,8 @@ def test_negative_seed_exits_2(capsys):
     ("sim", "T", "5"),
     ("plan", "count", False),
     ("plan", "gain", "1.5"),
+    # float() of an integer beyond the float range raised OverflowError.
+    pytest.param("sim", "tol", 10**400, id="tol-10**400"),
 ])
 def test_scenario_file_bad_field_exits_2(section, key, value, tmp_path, capsys):
     scenario = get_scenario("fig2b").to_dict()
@@ -395,6 +397,20 @@ def test_scenario_file_bad_field_exits_2(section, key, value, tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("largest", -1), ("largest", 25), ("smallest", 21)])
+def test_mixed_plan_count_outside_the_graph_exits_2(key, value, tmp_path, capsys):
+    # The counts sliced the degree order unchecked: largest -1 pinned 19 of
+    # fig9b's 20 nodes and largest 25 all of them, each exiting 0.
+    scenario = get_scenario("fig9b").to_dict()
+    scenario["plan"][key] = value
+    del scenario["expected_cf"]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: plan.{key} {value} outside 0..20" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -449,6 +465,9 @@ def test_compare_bad_entry_names_the_file_and_position(entry, message, tmp_path,
     ("--plan", "not json", "plan: not JSON"),
     ("simulate", b"\xff\xfe{}", "scenario.json: not UTF-8 text"),
     ("compare", '{"scenarios": ["fig2a", "fig2b"]', "comparison.json: not JSON"),
+    # json.loads hands the literal to int(), whose plain ValueError escaped.
+    pytest.param("simulate", '{"name": ' + "9" * 5000 + "}",
+                 "scenario.json: an integer has more than 4300 digits", id="integer-5000-digits"),
 ])
 def test_malformed_input_file_exits_2(option, text, where, tmp_path, capsys):
     files = {

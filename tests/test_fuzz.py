@@ -28,7 +28,8 @@ from pinnet.pinning import plan_to_dict
 from pinnet.scenarios import FAMILIES, SCENARIOS
 
 SEED, CASES = 20261020, 600
-VALUES = (0, -1, 5e-324, 1e308, math.nan, math.inf, True, None, "x", [], 2**40, 2**64)
+VALUES = (0, -1, 5e-324, 1e308, math.nan, math.inf, True, None, "x", [], 2**40, 2**64,
+          10**400)
 SIZE_FIELDS = {"n", "branch_sizes", "count", "largest", "smallest", "N"}
 SIZE_VALUES = tuple(v for v in VALUES if not (type(v) is int and v >= 2**40))
 COMMANDS = ("simulate", "simulate --full", "sweep --vary c", "compare", "spectrum --plan")

@@ -125,7 +125,11 @@ class TestScenarioRegistry:
          "plan.gains key 'x' is not a node index"),
         ({"kind": "mixed", "c": 1.0, "largest": 1, "smallest": 9, "gain": 1.0},
          "mixed plan: largest and smallest sets overlap"),
-    ], ids=["explicit-key", "mixed-overlap"])
+        ({"kind": "mixed", "c": 1.0, "largest": -1, "smallest": 0, "gain": 1.0},
+         "plan.largest -1 outside 0..9"),
+        ({"kind": "mixed", "c": 1.0, "largest": 0, "smallest": 10, "gain": 1.0},
+         "plan.smallest 10 outside 0..9"),
+    ], ids=["explicit-key", "mixed-overlap", "mixed-largest-negative", "mixed-smallest-over-n"])
     def test_plan_recipe_refused(self, plan, message):
         d = get_scenario("fig2b").to_dict()
         d["plan"] = plan

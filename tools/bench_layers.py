@@ -35,9 +35,10 @@ untimed before the rounds. Measured per tree and round:
   one pass over the eight, per graph.
 
 `--rows` names the rows to time, comma-separated; the default is all of them.
-Per tree the output holds every round's value and their median; for two
-trees, per row, the ratio first / second of the medians, the median of the
-per-round ratios and the number of rounds in which the first tree was
+Per tree the output holds `src_lines`, the line count of `<src>/pinnet/*.py`
+as `wc -l` gives it, and every round's value of each row and their median;
+for two trees, per row, the ratio first / second of the medians, the median
+of the per-round ratios and the number of rounds in which the first tree was
 faster. With `--out`, these go under the file's "layers" key and every other
 key of an existing file is kept. Set OPENBLAS_NUM_THREADS=1 in the
 environment for one-thread BLAS numbers.
@@ -165,6 +166,11 @@ def rows(pkg: SimpleNamespace) -> dict:
     return work
 
 
+def src_lines(src: str) -> int:
+    """The newline count of the tree's `pinnet/*.py` files, as `wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(src, "pinnet").glob("*.py"))
+
+
 def _sig(v: float) -> float:  # four significant digits
     return float(f"{v:.4g}")
 
@@ -236,11 +242,11 @@ def main(argv=None) -> int:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
     }
-    for label in labels:
-        layers[label] = per_row(lambda row: {
+    for label, src in trees:
+        layers[label] = {"src_lines": src_lines(src), **per_row(lambda row: {
             "runs": [_sig(v) for v in runs[label][row]],
             "median": _sig(statistics.median(runs[label][row])),
-        })
+        })}
     if len(labels) == 2:
         first, second = labels
 
