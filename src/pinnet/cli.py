@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import (InvalidSizeError, PinnetError, ScenarioDefinitionError, checked, field,
-                     known_keys, read_json)
+from .errors import (InvalidSizeError, PinnetError, ScenarioDefinitionError, about, checked,
+                     field, known_keys, read_json)
 from .harness import run_scenarios, sweep, write_report
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
@@ -60,10 +60,8 @@ def _load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if path.suffix == ".json" or path.exists():
         d = read_json(path)
-        try:
+        with about(path):
             return Scenario.from_dict(d)
-        except PinnetError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
     return get_scenario(ref)
 
 
@@ -154,8 +152,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = read_json(args.scenarios)
-    at = ""  # the entry being read, named in an error after the file
-    try:
+    with about(args.scenarios):
         if isinstance(spec, dict):
             known_keys(spec, "", ("scenarios",))
             refs = field(spec, "", "scenarios", list)
@@ -163,21 +160,16 @@ def _cmd_compare(args) -> int:
             refs = checked(spec, list, "comparison document")
         scenarios = []
         for k, ref in enumerate(refs):  # an inline scenario, a shipped name or a file path
-            at = f"scenarios[{k}]: "
-            scenarios.append(Scenario.from_dict(ref) if isinstance(ref, dict) else _load_scenario(
-                checked(ref, str, "an entry that is not an object")))
-    except (PinnetError, OSError) as exc:
-        raise type(exc)(f"{args.scenarios}: {at}{exc}") from exc
-    scenarios = [_apply_overrides(s, args) for s in scenarios]
-    if len(scenarios) < 2:
-        raise ScenarioDefinitionError(
-            f"{args.scenarios}: comparison needs at least two scenarios")
-    for s in scenarios[1:]:
-        if s.topology != scenarios[0].topology:
-            raise ScenarioDefinitionError(
-                f"{args.scenarios}: scenario {s.name!r} uses a different topology "
-                f"than {scenarios[0].name!r}")
-    return _run(scenarios, args, "comparison")
+            with about(f"scenarios[{k}]"):
+                scenarios.append(Scenario.from_dict(ref) if isinstance(ref, dict) else
+                                 _load_scenario(checked(ref, str, "an entry that is not an object")))
+        if len(scenarios) < 2:
+            raise ScenarioDefinitionError("comparison needs at least two scenarios")
+        for s in scenarios[1:]:
+            if s.topology != scenarios[0].topology:
+                raise ScenarioDefinitionError(f"scenario {s.name!r} uses a different topology "
+                                              f"than {scenarios[0].name!r}")
+    return _run([_apply_overrides(s, args) for s in scenarios], args, "comparison")
 
 
 def _cmd_sweep(args) -> int:

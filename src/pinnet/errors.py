@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the readers of input files
-and of typed fields.
+"""Exception types shared across the package, the readers of input files
+and of typed fields, and `about`, which names where an error came from.
 
 The CLI exits with 2 on any of these; a run whose state blew up is a
 `diverged` report row instead, and the CLI exits with 3.
@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import sys
+from contextlib import contextmanager
 
 
 class PinnetError(Exception):
@@ -57,6 +58,17 @@ class DivergenceError(PinnetError, RuntimeError):
 
 class ScenarioDefinitionError(PinnetError, ValueError):
     """A scenario file or definition is internally inconsistent."""
+
+
+@contextmanager
+def about(where):
+    """Re-raise a PinnetError or OSError raised inside as "<where>: <message>",
+    of the same type and with the original as its cause; nested uses read
+    outermost first. Other exceptions pass through untouched."""
+    try:
+        yield
+    except (PinnetError, OSError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def positive(name: str, value, error: type = ContractViolationError) -> None:
@@ -122,13 +134,12 @@ def field(d, where: str, key: str, kind: type, default=_REQUIRED):
 
 def read_text(path) -> str:
     """The UTF-8 text of the file `path`; other bytes raise a PinnetError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, about(path):
+        try:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ContractViolationError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
+        except UnicodeDecodeError as exc:
+            raise ContractViolationError(
+                f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def read_json(path):
@@ -140,16 +151,17 @@ def read_json(path):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ContractViolationError(f"{path}: duplicate key {key!r}")
+                raise ContractViolationError(f"duplicate key {key!r}")
             obj[key] = value
         return obj
 
-    try:
-        return json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ContractViolationError(f"{path}: not JSON ({exc})") from None
-    except PinnetError:  # a repeated key, already named with the file
-        raise
-    except ValueError:  # int() refuses an integer literal over its digit limit
-        raise ContractViolationError(
-            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+    with about(path):
+        try:
+            return json.loads(text, object_pairs_hook=unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ContractViolationError(f"not JSON ({exc})") from None
+        except PinnetError:  # a repeated key
+            raise
+        except ValueError:  # int() refuses an integer literal over its digit limit
+            raise ContractViolationError(
+                f"an integer has more than {sys.get_int_max_str_digits()} digits") from None

@@ -25,7 +25,7 @@ from .dynamics import (
     mode_threshold,
     sync_time,
 )
-from .errors import ContractViolationError, DivergenceError, ScenarioDefinitionError, positive
+from .errors import DivergenceError, ScenarioDefinitionError, about, positive
 from .pinning import PinningPlan, cost, plan_to_dict
 from .scenarios import Scenario
 from .spectral import controlled_spectrum
@@ -124,9 +124,10 @@ def run_scenarios(
 
     Raises ScenarioDefinitionError, before anything is built, when two
     scenarios share a name (their artifacts would overwrite each other), and
-    when a realized cost disagrees with the scenario's expected value;
-    divergence is an outcome row, so sweeps keep going. Each distinct
-    topology's graph, system and sigma* are built once.
+    when a realized cost disagrees with the scenario's expected value; an
+    error raised while a scenario is resolved names it. Divergence is an
+    outcome row, so sweeps keep going. Each distinct topology's graph, system
+    and sigma* are built once.
     Scenarios sharing the topology, h, T and record_every run in one
     integrate_batch call, each with the numbers and artifacts of its run alone.
     """
@@ -137,21 +138,18 @@ def run_scenarios(
         names.add(s.name)
     networks, built, groups = {}, [], {}
     for i, s in enumerate(scenarios):
-        if s.topology not in networks:
-            g = s.topology.build()
-            sys = build_system(g)
-            networks[s.topology] = g, sys, mode_threshold(sys)
-        g, sys, sigma_star = networks[s.topology]
-        plan = s.plan.build(g)
-        try:
+        with about(s.name):
+            if s.topology not in networks:
+                g = s.topology.build()
+                sys = build_system(g)
+                networks[s.topology] = g, sys, mode_threshold(sys)
+            g, sys, sigma_star = networks[s.topology]
+            plan = s.plan.build(g)
             cf = cost(plan)
-        except ContractViolationError as exc:
-            raise ContractViolationError(f"{s.name}: {exc}") from None
-        if s.expected_cf is not None and cf != s.expected_cf:
-            raise ScenarioDefinitionError(
-                f"{s.name}: cost {cf!r} does not match expected {s.expected_cf!r}"
-            )
-        lam_max = controlled_spectrum(sys.coupling, plan).lambda_max
+            if s.expected_cf is not None and cf != s.expected_cf:
+                raise ScenarioDefinitionError(
+                    f"cost {cf!r} does not match expected {s.expected_cf!r}")
+            lam_max = controlled_spectrum(sys.coupling, plan).lambda_max
         built.append((plan, ReportRow(
             s.name, cf, plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
         )))

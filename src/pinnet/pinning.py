@@ -16,8 +16,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import (ContractViolationError, PinnetError, ScenarioDefinitionError, field,
-                     known_keys, positive, read_json)
+from .errors import (ContractViolationError, ScenarioDefinitionError, about, field, known_keys,
+                     positive, read_json)
 from .topology import Graph, degrees
 
 __all__ = [
@@ -187,8 +187,6 @@ def write_plan(plan: PinningPlan, path) -> None:
 def read_plan(path) -> PinningPlan:
     """Read a plan file; a malformed one raises a PinnetError naming the file."""
     d = read_json(path)
-    try:
+    with about(path):
         n, c, gains = pins_from_dict(d)
         return plan_explicit(n, gains, c)
-    except PinnetError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc

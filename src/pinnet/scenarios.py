@@ -137,6 +137,11 @@ class PlanSpec(_Recipe):
     gains: Optional[dict] = None
     n: Optional[int] = None  # expected node count, set by the pin-file form
 
+    def __post_init__(self):
+        if self.kind == "by_degree" and self.strategy not in ("largest", "smallest"):
+            raise ScenarioDefinitionError(
+                f"plan.strategy must be largest or smallest, got {self.strategy!r}")
+
     def build(self, g: Graph) -> PinningPlan:
         if self.n is not None and self.n != g.n_nodes:
             raise ScenarioDefinitionError(
@@ -213,6 +218,11 @@ class Scenario:
     plan: PlanSpec
     sim: SimParams
     expected_cf: Optional[float] = None
+
+    def __post_init__(self):  # the name is the stem of the run's artifact files
+        if not self.name or any(ch in self.name for ch in "/\\\0"):
+            raise ScenarioDefinitionError(
+                f"scenario.name must be a file name, without '/', '\\' or NUL, got {self.name!r}")
 
     def to_dict(self) -> dict:
         d = {

@@ -387,6 +387,8 @@ def test_negative_seed_exits_2(capsys):
     ("sim", "T", "5"),
     ("plan", "count", False),
     ("plan", "gain", "1.5"),
+    # An unknown strategy was first refused in degree_order, naming no field.
+    ("plan", "strategy", "biggest"),
     # float() of an integer beyond the float range raised OverflowError.
     pytest.param("sim", "tol", 10**400, id="tol-10**400"),
 ])
@@ -410,8 +412,65 @@ def test_mixed_plan_count_outside_the_graph_exits_2(key, value, tmp_path, capsys
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(scenario))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: plan.{key} {value} outside 0..20" in capsys.readouterr().err
+    assert f"error: fig9b: plan.{key} {value} outside 0..20" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _edited(name: str, edit) -> dict:
+    """Shipped scenario `name` as a document, without its expected cost, after `edit`."""
+    scenario = get_scenario(name).to_dict()
+    del scenario["expected_cf"]
+    edit(scenario)
+    return scenario
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("fig9b", lambda d: d["plan"].update(largest=10, smallest=11),
+     "mixed plan: largest and smallest sets overlap"),
+    ("fig7", lambda d: d["plan"].update(count=99), "count 99 outside 1..20"),
+    ("fig7", lambda d: d.update(plan={"kind": "explicit", "c": 6.0, "gains": {"25": 1.0}}),
+     "node index 25 outside 0..19"),
+    ("fig7", lambda d: d.update(plan={"n": 9, "c": 6.0, "pins": []}),
+     "plan is for 9 nodes but the topology has 20"),
+    ("fig7", lambda d: d["topology"].update(m=5),
+     "need 1 <= m <= m0 < n_nodes, got m=5, m0=3, n_nodes=20"),
+    ("fig5a", lambda d: d["topology"].update(branch_sizes=[3, 2]),
+     "branch sizes must be ascending, got (3, 2)"),
+    ("fig7", lambda d: d["plan"].update(gain=1e308),
+     "cost c * sum(gains) overflows: c = 6.0, gains up to 1e+308 on 11 pinned nodes"),
+], ids=["mixed-overlap", "count", "explicit-node", "pins-n", "ba-m",
+        "cluster-order", "cost-overflow"])
+def test_scenario_refused_against_its_graph_names_the_scenario(name, edit, message, tmp_path,
+                                                               capsys):
+    # A document that reads well but does not fit its graph was refused
+    # without naming the scenario: only the cost overflow named it.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited(name, edit)))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {name}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_entry_refused_against_its_graph_names_it(tmp_path, capsys):
+    bad = _edited("fig9b", lambda d: d["plan"].update(largest=-1))
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"scenarios": [get_scenario("fig9a").to_dict(), bad]}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: fig9b: plan.largest -1 outside 0..20\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ""], ids=["parent", "subdir", "empty"])
+def test_scenario_name_that_is_no_file_name_exits_2(name, tmp_path, capsys):
+    # The name is the artifacts' stem: "../escaped" wrote beside --out and
+    # exited 0, "a/b" made --out and then failed, "" wrote hidden files.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(get_scenario("fig2b").to_dict(), name=name)))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out"), "--T", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: scenario.name must be a file name, without '/', '\\' or NUL, "
+        f"got {name!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -6,7 +6,8 @@ leaves with an awkward value, and runs it through `cli.main` with
 `simulate`, `simulate --full`, `sweep --vary c`, `compare` or
 `spectrum --plan`. Every case must end in an exit code: 0, 2 (a refused
 input, with no artifact written) or 3 (a diverged run). No exception may
-escape.
+escape, and no case may write outside its `--out` directory: a scenario
+name is the stem of its artifact files.
 
 The horizon is set to four record intervals before mutating, so a run that
 is accepted takes a few steps. Two kinds of value are kept out: the program
@@ -28,8 +29,8 @@ from pinnet.pinning import plan_to_dict
 from pinnet.scenarios import FAMILIES, SCENARIOS
 
 SEED, CASES = 20261020, 600
-VALUES = (0, -1, 5e-324, 1e308, math.nan, math.inf, True, None, "x", [], 2**40, 2**64,
-          10**400)
+VALUES = (0, -1, 5e-324, 1e308, math.nan, math.inf, True, None, "x", "../x", "a/b", [],
+          2**40, 2**64, 10**400)
 SIZE_FIELDS = {"n", "branch_sizes", "count", "largest", "smallest", "N"}
 SIZE_VALUES = tuple(v for v in VALUES if not (type(v) is int and v >= 2**40))
 COMMANDS = ("simulate", "simulate --full", "sweep --vary c", "compare", "spectrum --plan")
@@ -116,9 +117,12 @@ def test_every_mutated_document_exits_0_2_or_3(tmp_path, capsys):
         out = capsys.readouterr().out
         codes[code] += 1
         wrote = (tmp / "out").exists() or (command.startswith("spectrum") and out)
-        if code not in (0, 2, 3) or (code == 2 and wrote):
+        strays = sorted({p.name for p in tmp.iterdir()} - {"doc.json", "graph.edges",
+                                                             "plan.json", "out"})
+        if code not in (0, 2, 3) or (code == 2 and wrote) or strays:
             failures.append(f"{command} with {edits}: {code}"
-                            + (", wrote an artifact" if code == 2 and wrote else ""))
+                            + (", wrote an artifact" if code == 2 and wrote else "")
+                            + (f", wrote {strays} outside --out" if strays else ""))
     assert not failures, "\n".join(failures)
     # The cases reach both sides: accepted runs and refused documents.
     assert codes[0] > CASES // 40 and codes[2] > CASES // 2

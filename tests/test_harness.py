@@ -49,8 +49,9 @@ plan_specs = st.one_of(
     st.builds(PlanSpec, st.just("explicit"), positive, gains=st.dictionaries(counts, positive),
               n=st.none() | counts),
 )
-scenarios = st.builds(
-    Scenario, st.text(min_size=1), topology_specs, plan_specs,
+scenarios = st.builds(  # a name is a file stem: no path separator or NUL
+    Scenario, st.text(st.characters(exclude_characters="/\\\0"), min_size=1),
+    topology_specs, plan_specs,
     st.builds(SimParams, h=positive, T=positive, tol=positive, init_seed=st.integers(0),
               record_every=counts),
     expected_cf=st.none() | positive,
@@ -129,7 +130,11 @@ class TestScenarioRegistry:
          "plan.largest -1 outside 0..9"),
         ({"kind": "mixed", "c": 1.0, "largest": 0, "smallest": 10, "gain": 1.0},
          "plan.smallest 10 outside 0..9"),
-    ], ids=["explicit-key", "mixed-overlap", "mixed-largest-negative", "mixed-smallest-over-n"])
+        # Refused when the document is read, not first in degree_order.
+        ({"kind": "by_degree", "c": 1.0, "strategy": "biggest", "count": 1, "gain": 1.0},
+         "plan.strategy must be largest or smallest, got 'biggest'"),
+    ], ids=["explicit-key", "mixed-overlap", "mixed-largest-negative", "mixed-smallest-over-n",
+            "by-degree-strategy"])
     def test_plan_recipe_refused(self, plan, message):
         d = get_scenario("fig2b").to_dict()
         d["plan"] = plan
