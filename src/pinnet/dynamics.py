@@ -39,6 +39,7 @@ __all__ = [
     "SimulationResult",
     "chen_field",
     "integrate_batch",
+    "step_count",
     "sync_time",
     "mode_threshold",
 ]
@@ -267,6 +268,25 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     return rhs
 
 
+def step_count(h: float, T: float, record_every: int) -> int:
+    """The number of steps of h in the horizon T, refused unless T is a whole
+    number of record intervals h * record_every."""
+    positive("h", h)
+    if not (math.isfinite(T) and T >= h):
+        raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
+    if record_every < 1:
+        raise ContractViolationError("record_every must be >= 1")
+    if not math.isfinite(T / h):
+        raise ContractViolationError(f"T={T!r} / h={h!r} overflows: no finite step count")
+    steps = int(round(T / h))
+    if not (math.isclose(steps * h, T, rel_tol=1e-9) and steps % record_every == 0):
+        raise ContractViolationError(
+            f"horizon T={T!r} is not a whole number of record intervals of "
+            f"h={h!r} * record_every={record_every}"
+        )
+    return steps
+
+
 def integrate_batch(
     sys: NetworkSystem,
     plans: Sequence[PinningPlan],
@@ -285,20 +305,9 @@ def integrate_batch(
     `record_every` steps (per-node states only if `record_states`), or, for a
     member gone non-finite, its DivergenceError; the others run on.
     """
-    positive("h", h)
-    if not (math.isfinite(T) and T >= h):
-        raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
-    if record_every < 1:
-        raise ContractViolationError("record_every must be >= 1")
-    if not math.isfinite(T / h):
-        raise ContractViolationError(f"T={T!r} / h={h!r} overflows: no finite step count")
-    steps = int(round(T / h))
-    if not (math.isclose(steps * h, T, rel_tol=1e-9) and steps % record_every == 0):
-        raise ContractViolationError(
-            f"horizon T={T!r} is not a whole number of record intervals of "
-            f"h={h!r} * record_every={record_every}"
-        )
-    shape = (len(plans), sys.n_nodes, sys.dynamics.dimension)
+    steps = step_count(h, T, record_every)
+    B = len(plans)
+    shape = (B, sys.n_nodes, sys.dynamics.dimension)
     X0 = np.asarray(X0, dtype=float)
     if X0.shape != shape:
         raise ContractViolationError(f"initial states shape {X0.shape}, expected {shape}")
@@ -329,31 +338,25 @@ def integrate_batch(
             f"horizon T={T!r} at h={h!r} and record_every={record_every} needs {records} "
             f"records, more than can be allocated"
         ) from None
-    out: list = [None] * len(plans)
-    # The members still integrating, in state columns 0, 1, ...: those with
-    # c != 0 first, as _rhs takes them, each side in the order given.
-    live = np.argsort([p.coupling_strength == 0.0 for p in plans], kind="stable")
-
-    def buffers(planes, live):
-        # The state X as (n, N, B) planes, members innermost and padded (see
-        # _rhs and _pad), its flat view, k, the stage state, the weighted sum
-        # k1 + 2 k2 + 2 k3 + k4 (formed in the same order as
-        # X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4)), the RHS bound to
-        # X -> ksum and to stage -> k, and the error record's scratch.
-        X, members = _pad(planes, [plans[b] for b in live])
-        k, stage, ksum = np.empty_like(X), np.empty_like(X), np.empty_like(X)
-        return (X, X.reshape(-1), k, stage, ksum, _rhs(sys, members, X, ksum),
-                _rhs(sys, members, stage, k), np.empty_like(X), np.empty(X.shape[1:]),
-                np.empty(X.shape[2:]))
-
-    X, flat, k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = buffers(X0.T[..., live], live)
+    out: list = [None] * B
+    # The member in each state column 0, 1, ..., B - 1: those with c != 0
+    # first, as _rhs takes them, each side in the order given.
+    order = np.argsort([p.coupling_strength == 0.0 for p in plans], kind="stable")
+    # The state X as (n, N, Bp) planes, members innermost and padded (see _rhs
+    # and _pad), its flat view, k, the stage state, the weighted sum k1 + 2 k2
+    # + 2 k3 + k4 (in the order of X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
+    # the RHS bound to X -> ksum and to stage -> k, and the error record's scratch.
+    X, members = _pad(X0.T[..., order], [plans[b] for b in order])
+    flat, k, stage, ksum = X.reshape(-1), np.empty_like(X), np.empty_like(X), np.empty_like(X)
+    rhs_X, rhs_stage = _rhs(sys, members, X, ksum), _rhs(sys, members, stage, k)
+    diff, node_err, err = np.empty_like(X), np.empty(X.shape[1:]), np.empty(X.shape[2:])
     # The step's scalars as 0-d float64 arrays: cheaper ufunc operands than
     # Python floats, with the same arithmetic.
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
     multiply, add, subtract, dot = np.multiply, np.add, np.subtract, np.dot
     target = sys.target[:, None, None]
     # Overflow is handled explicitly via the finiteness check, so numpy's
-    # warnings would only be noise on a member that is about to be dropped.
+    # warnings would only be noise on a member that is about to be reset.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
@@ -377,24 +380,20 @@ def integrate_batch(
                 # A finite sum of squares proves every entry finite; only a
                 # non-finite one (an entry gone non-finite, or finite entries
                 # whose squares or their sum overflow) needs the per-column
-                # test. Padding columns are formed again from the members left.
+                # test. Non-finite columns, padding included, are reset to the
+                # target in place (no other column reads them): the sum stays finite.
                 if not math.isfinite(dot(flat, flat)):
-                    ok = np.all(np.isfinite(X), axis=(0, 1))
-                    if not ok.all():
-                        ok = ok[:len(live)]
-                        for b in live[~ok]:
-                            out[b] = DivergenceError(step * h)
-                        keep = np.flatnonzero(ok)
-                        live = live[keep]
-                        if not len(live):
-                            return out
-                        X, flat, k, stage, ksum, rhs_X, rhs_stage, diff, node_err, err = (
-                            buffers(X[..., keep], live))
+                    bad = ~np.all(np.isfinite(X), axis=(0, 1))
+                    X[..., bad] = target
+                    for b in order[bad[:B]]:
+                        out[b] = out[b] or DivergenceError(step * h)
+                    if None not in out:
+                        return out
             if step % record_every == 0:
                 rec = step // record_every
                 times[rec] = step * h
                 if record_states:
-                    states[rec, live] = X[..., :len(live)].T
+                    states[rec, order] = X[..., :B].T
                 # Each member's error max_i |x_i - s|, the largest Euclidean
                 # node deviation from the target, its squares summed
                 # (d_0^2 + d_1^2) + d_2^2 + ... as the (N, n) sum over rows does.
@@ -403,11 +402,9 @@ def integrate_batch(
                 add.reduce(diff, 0, None, node_err)
                 np.sqrt(node_err, node_err)
                 np.maximum.reduce(node_err, 0, None, err)
-                errors[rec, live] = err[:len(live)]
-    for b in live:
-        b_states = states[:, b] if record_states else None
-        out[b] = SimulationResult(times, b_states, errors[:, b])
-    return out
+                errors[rec, order] = err[:B]
+    return [r or SimulationResult(times, states[:, b] if record_states else None, errors[:, b])
+            for b, r in enumerate(out)]
 
 
 def sync_time(result: SimulationResult, tol: float) -> Optional[float]:

@@ -23,6 +23,7 @@ from .dynamics import (
     chen_field,
     integrate_batch,
     mode_threshold,
+    step_count,
     sync_time,
 )
 from .errors import DivergenceError, ScenarioDefinitionError, about, positive
@@ -124,10 +125,10 @@ def run_scenarios(
 
     Raises ScenarioDefinitionError, before anything is built, when two
     scenarios share a name (their artifacts would overwrite each other), and
-    when a realized cost disagrees with the scenario's expected value; an
-    error raised while a scenario is resolved names it. Divergence is an
-    outcome row, so sweeps keep going. Each distinct topology's graph, system
-    and sigma* are built once.
+    when a realized cost disagrees with the scenario's expected value; an error
+    raised while a scenario is resolved, its horizon checked first if it is to
+    be simulated, names it. Divergence is an outcome row, so sweeps keep going.
+    Each distinct topology's graph, system and sigma* are built once.
     Scenarios sharing the topology, h, T and record_every run in one
     integrate_batch call, each with the numbers and artifacts of its run alone.
     """
@@ -139,6 +140,8 @@ def run_scenarios(
     networks, built, groups = {}, [], {}
     for i, s in enumerate(scenarios):
         with about(s.name):
+            if simulate:
+                step_count(s.sim.h, s.sim.T, s.sim.record_every)
             if s.topology not in networks:
                 g = s.topology.build()
                 sys = build_system(g)

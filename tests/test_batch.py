@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import pinnet.dynamics
 import pinnet.harness
 from pinnet.cli import main
 from dynamics_oracle import field_at, integrate_one, linear_field, sync_error
@@ -209,11 +210,19 @@ def test_grouped_coupling_product_equals_each_members_own(name, graph):
         )
 
 
-@pytest.mark.parametrize("B", [4, 5], ids=["width-6-to-3", "width-6-padding-re-formed"])
-def test_divergence_of_the_padded_member(B):
+@pytest.mark.parametrize("B", [4, 5], ids=["two-padding-columns", "one-padding-column"])
+def test_divergence_of_the_padded_member(B, monkeypatch):
     # Padding copies the last member, which blows up: its padding goes with
-    # it, raises nothing of its own, and is formed again from the members
-    # left (4 -> 3 members takes the width from 6 to 3; 5 -> 4 keeps it at 6).
+    # it, raises nothing of its own, and is reset in place with it. The batch
+    # keeps its width of 6 columns, and the RHS is bound once per stage buffer.
+    binds = []
+    bind = pinnet.dynamics._rhs
+
+    def spy(*args):
+        binds.append(len(args[1]))
+        return bind(*args)
+
+    monkeypatch.setattr(pinnet.dynamics, "_rhs", spy)
     sys, leaf_plan = scenario_system("fig2b")
     hub_plan = scenario_system("fig2a")[1]
     plans = [leaf_plan, hub_plan, PinningPlan(9, (0.0,) * 9, 0.0), leaf_plan][:B - 1] + [hub_plan]
@@ -222,6 +231,7 @@ def test_divergence_of_the_padded_member(B):
     h, T = 5e-4, 0.25
     batch = integrate_batch(sys, plans, X0, h, T, record_every=5)
     assert isinstance(batch[-1], DivergenceError)
+    assert binds == [6, 6]
     assert batch[-1].time == first_non_finite_time(sys, plans[-1], X0[-1], h, T)
     for plan, x0, result in zip(plans[:-1], X0, batch):
         states, errors = reference_rk4(sys, plan, x0, h, T, 5)
@@ -261,7 +271,7 @@ def test_divergence_inside_a_batch():
         assert np.array_equal(batch[b].times, solo.times)
         assert np.array_equal(batch[b].states, solo.states)
         assert np.array_equal(batch[b].error_metric, solo.error_metric)
-        # The buffers re-allocated after the drop, against the plain loop.
+        # The batch with the diverged member reset in place, against the plain loop.
         states, errors = reference_rk4(sys, plans[b], X0[b], h, T, 5)
         assert np.array_equal(batch[b].states, states)
         assert np.array_equal(batch[b].error_metric, errors)

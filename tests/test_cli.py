@@ -331,8 +331,15 @@ def test_horizon_off_the_record_grid_exits_2(T, tmp_path, capsys):
     # number of steps, 0.0035 is 7 steps, not a whole number of records.
     assert main(["simulate", "fig7", "--T", T, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
+    assert "error: fig7: horizon T=" in err
     assert f"T={T}" in err and "h=0.0005" in err and "record_every=5" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_cf_only_run_refuses_no_horizon(tmp_path, capsys):
+    # Analysis alone never integrates: a horizon off the record grid is no fault.
+    assert main(["reproduce", "fig2", "--cf-only", "--T", "0.00126", "--out", str(tmp_path)]) == 0
+    assert ",not-simulated" in (tmp_path / "fig2.report.csv").read_text()
 
 
 def test_step_count_that_overflows_exits_2(tmp_path, capsys):
@@ -340,7 +347,7 @@ def test_step_count_that_overflows_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "fig3b", "--h", "5e-324", "--T", "0.004", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: T=0.004 / h=5e-324 overflows" in err
+    assert "error: fig3b: T=0.004 / h=5e-324 overflows" in err
     assert not out.exists()
 
 

@@ -32,7 +32,9 @@ untimed before the rounds. Measured per tree and round:
   and, for a gain, confirms it with `schur_feasible` and the `lambda_max` of
   `controlled_spectrum`; one pass over the eight, per query;
 - `graph_build_us`: `barabasi_albert` alone for the same eight queries' graphs,
-  one pass over the eight, per graph.
+  one pass over the eight, per graph;
+- `sigma_star_us`: `dynamics.mode_threshold` on fig8b's system, 200 calls,
+  per call.
 
 `--rows` names the rows to time, comma-separated; the default is all of them.
 Per tree the output holds `src_lines`, the line count of `<src>/pinnet/*.py`
@@ -63,12 +65,14 @@ import numpy as np
 BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H = 2000, 5e-4
+SIGMA_CALLS = 200
 DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
 SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
 SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
               ",".join(repr(g) for g in SWEEP_GAINS), "--T", "2.0"]
 # The rows with one number per tree and round, and all rows.
-SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us")
+SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us",
+               "sigma_star_us")
 ROWS = ("rk4_step_us", *SCALAR_ROWS)
 MODULES = ("cli", "dynamics", "harness", "pinning", "scenarios", "spectral", "topology")
 
@@ -163,6 +167,12 @@ def rows(pkg: SimpleNamespace) -> dict:
 
     work["design_query_us"] = (design, len(queries) / 1e6)
     work["graph_build_us"] = (graphs, len(queries) / 1e6)
+
+    def thresholds():
+        for _ in range(SIGMA_CALLS):
+            dynamics.mode_threshold(sys_ba)
+
+    work["sigma_star_us"] = (thresholds, SIGMA_CALLS / 1e6)
     return work
 
 
@@ -232,6 +242,8 @@ def main(argv=None) -> int:
                            f"lambda_max); one pass / 8",
         "graph_build_us": f"barabasi_albert for the graphs of design_ba's eight "
                           f"seed-{DESIGN_SEED} queries; one pass / 8",
+        "sigma_star_us": f"mode_threshold on fig8b's system; {SIGMA_CALLS} calls / "
+                         f"{SIGMA_CALLS}",
     }
     layers: dict = {
         "method": {
