@@ -126,7 +126,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_pin(args) -> int:
     g = read_edge_list(args.edges)
-    if args.explicit:
+    if args.explicit is not None:
         gains = {}
         for item in args.explicit.split(","):
             try:

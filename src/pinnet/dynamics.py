@@ -190,9 +190,9 @@ class SimulationResult:
 def _pad(planes: np.ndarray, plans: Sequence[PinningPlan]) -> tuple[np.ndarray, list]:
     """The (n, N, B) member planes and their plans, padded to a multiple of n members.
 
-    Each padding column is a copy of the last member's state and plan, so it
-    runs exactly as that member does and goes non-finite only with it. The
-    returned planes are C-contiguous.
+    The members keep the order given. Each padding column is a copy of the
+    last member's state and plan, so it runs exactly as that member does and
+    goes non-finite only with it. The returned planes are C-contiguous.
     """
     n, _, B = planes.shape
     index = np.concatenate([np.arange(B), np.full(-B % n, B - 1)])
@@ -219,8 +219,8 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     (A X)_j and X_j - s_j, scaled by c and c * eps. A member with c = 0
     reads neither product, so an overflowing A X cannot make them
     0 * inf = NaN; one with no pinned node adds exact zeros. So a member's
-    arithmetic does not depend on its batch mates. Members with c != 0 come
-    first, so the coupled columns are one range; other orders are refused.
+    arithmetic does not depend on its batch mates or their order: coupling is
+    added to and feedback subtracted from each run of members with c != 0.
     """
     B, N, n = len(plans), sys.n_nodes, sys.dynamics.dimension
     if X.shape != (n, N, B) or out.shape != X.shape or B % n:
@@ -233,10 +233,10 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     field = sys.dynamics.bind(X.reshape(n, -1), out.reshape(n, -1))
     J = np.flatnonzero(sys.gamma)
     c = np.array([p.coupling_strength for p in plans])
-    # The member columns that take coupling: the prefix of those with c != 0.
-    coupled = np.count_nonzero(c)
-    if c[coupled:].any():
-        raise ContractViolationError("the RHS takes the members with c != 0 first")
+    # The member columns that take coupling: the runs [a, b) of c != 0, from
+    # where the mask, bounded by False on both sides, changes.
+    edges = np.flatnonzero(np.diff(c != 0.0, prepend=False, append=False))
+    runs = list(zip(edges[::2], edges[1::2]))
     # The product block and its constants: c under A X_j, c * eps under X_j - s_j.
     products, scale = np.empty((2, len(J), N, B)), np.empty((2, len(J), N, B))
     scale[0] = c
@@ -247,12 +247,12 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
 
     A = sys.coupling
     # Per coupled plane: its member groups and those of (A X)_j, X_j and its
-    # slot for X_j - s_j with s_j as a 0-d array; per coupled plane: the coupled
-    # columns of out, c * (A X)_j and (c * eps) * (X_j - s_j), if there are any.
+    # slot for X_j - s_j with s_j as a 0-d array; per coupled plane and run: the
+    # run's columns of out, c * (A X)_j and (c * eps) * (X_j - s_j).
     planes = [(groups(X[j]), groups(products[0, k]), X[j], products[1, k], np.array(sys.target[j]))
               for k, j in enumerate(J)]
-    terms = [(out[j][:, :coupled], products[0, k][:, :coupled], products[1, k][:, :coupled])
-             for k, j in enumerate(J) if coupled]
+    terms = [(out[j][:, a:b], products[0, k][:, a:b], products[1, k][:, a:b])
+             for k, j in enumerate(J) for a, b in runs]
     multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
 
     def rhs() -> None:
@@ -298,12 +298,12 @@ def integrate_batch(
 ) -> list:
     """Fixed-step classical RK4 over [0, T] of B members of `sys` in one step loop.
 
-    Member b runs plans[b] from X0[b] (X0 is (B, N, n)), bit for bit as its
-    solo run, and must pass the guard h * (L_f + c * (|lambda_min(A)| + max
-    gain)) <= 2.5. T must be a whole number of record intervals h *
-    record_every. Returns per member a SimulationResult recorded every
-    `record_every` steps (per-node states only if `record_states`), or, for a
-    member gone non-finite, its DivergenceError; the others run on.
+    Member b runs plans[b] from X0[b] (X0 is (B, N, n)) in state column b,
+    bit for bit as its solo run, and must pass the guard h * (L_f + c *
+    (|lambda_min(A)| + max gain)) <= 2.5. T must be a whole number of record
+    intervals h * record_every. Returns per member a SimulationResult recorded
+    every `record_every` steps (per-node states only if `record_states`), or,
+    for a member gone non-finite, its DivergenceError; the others run on.
     """
     steps = step_count(h, T, record_every)
     B = len(plans)
@@ -330,26 +330,22 @@ def integrate_batch(
 
     records = steps // record_every + 1
     try:
-        times = np.empty(records)
-        states = np.empty(times.shape + shape) if record_states else None
-        errors = np.empty(times.shape + shape[:1])
+        states = np.empty((records,) + shape) if record_states else None
+        errors = np.empty((records, B + -B % shape[2]))  # a column per padded member
     except (MemoryError, ValueError):  # numpy refuses arrays it cannot hold
         raise ContractViolationError(
             f"horizon T={T!r} at h={h!r} and record_every={record_every} needs {records} "
             f"records, more than can be allocated"
         ) from None
     out: list = [None] * B
-    # The member in each state column 0, 1, ..., B - 1: those with c != 0
-    # first, as _rhs takes them, each side in the order given.
-    order = np.argsort([p.coupling_strength == 0.0 for p in plans], kind="stable")
-    # The state X as (n, N, Bp) planes, members innermost and padded (see _rhs
-    # and _pad), its flat view, k, the stage state, the weighted sum k1 + 2 k2
-    # + 2 k3 + k4 (in the order of X + (h/6) (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
-    # the RHS bound to X -> ksum and to stage -> k, and the error record's scratch.
-    X, members = _pad(X0.T[..., order], [plans[b] for b in order])
+    # The state X as (n, N, Bp) planes, members innermost in the caller's order
+    # and padded (see _rhs and _pad), its flat view, k, the stage state, the
+    # weighted sum k1 + 2 k2 + 2 k3 + k4 (in the order of X + (h/6) (k1 + 2.0 *
+    # k2 + 2.0 * k3 + k4)), and the RHS bound to X -> ksum and to stage -> k.
+    X, members = _pad(X0.T, plans)
     flat, k, stage, ksum = X.reshape(-1), np.empty_like(X), np.empty_like(X), np.empty_like(X)
     rhs_X, rhs_stage = _rhs(sys, members, X, ksum), _rhs(sys, members, stage, k)
-    diff, node_err, err = np.empty_like(X), np.empty(X.shape[1:]), np.empty(X.shape[2:])
+    diff, node_err = np.empty_like(X), np.empty(X.shape[1:])
     # The step's scalars as 0-d float64 arrays: cheaper ufunc operands than
     # Python floats, with the same arithmetic.
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
@@ -385,15 +381,14 @@ def integrate_batch(
                 if not math.isfinite(dot(flat, flat)):
                     bad = ~np.all(np.isfinite(X), axis=(0, 1))
                     X[..., bad] = target
-                    for b in order[bad[:B]]:
+                    for b in np.flatnonzero(bad[:B]):
                         out[b] = out[b] or DivergenceError(step * h)
                     if None not in out:
                         return out
             if step % record_every == 0:
                 rec = step // record_every
-                times[rec] = step * h
                 if record_states:
-                    states[rec, order] = X[..., :B].T
+                    states[rec] = X[..., :B].T
                 # Each member's error max_i |x_i - s|, the largest Euclidean
                 # node deviation from the target, its squares summed
                 # (d_0^2 + d_1^2) + d_2^2 + ... as the (N, n) sum over rows does.
@@ -401,8 +396,9 @@ def integrate_batch(
                 multiply(diff, diff, diff)
                 add.reduce(diff, 0, None, node_err)
                 np.sqrt(node_err, node_err)
-                np.maximum.reduce(node_err, 0, None, err)
-                errors[rec, order] = err[:B]
+                np.maximum.reduce(node_err, 0, None, errors[rec])
+    # step * h per record, with the same bits as the product of Python numbers.
+    times = np.arange(0, steps + 1, record_every) * h
     return [r or SimulationResult(times, states[:, b] if record_states else None, errors[:, b])
             for b, r in enumerate(out)]
 

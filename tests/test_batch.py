@@ -315,25 +315,17 @@ def test_uncoupled_member_ignores_an_overflowing_coupling_product():
     assert all(np.array_equal(x, X0[0]) for x in result.states)
 
 
-def test_rhs_refuses_an_uncoupled_member_before_a_coupled_one():
-    # The coupled columns are one range, the members with c != 0 first;
-    # integrate_batch orders its members so.
-    sys = zero_field_star()
-    plans = [PinningPlan(9, (0.0,) * 9, c) for c in (1.0, 0.0, 1.0)]
-    planes = np.zeros((3, 9, 3))
-    with pytest.raises(ContractViolationError, match="c != 0 first"):
-        _rhs(sys, plans, planes, np.empty_like(planes))
-
-
-@pytest.mark.parametrize("members", [[0, 1, 2, 3], [1, 2], [1, 0]],
-                         ids=["mixed-c", "all-coupled", "c0-in-the-padding-group"])
+@pytest.mark.parametrize("members", [[0, 1, 2, 3], [1, 2], [1, 0], [1, 0, 2]],
+                         ids=["mixed-c", "all-coupled", "c0-in-the-padding-group",
+                              "c0-between-coupled"])
 def test_two_coupled_columns_match_reference_solo_loop(members):
     # Gamma = (1, 0, 1) under a linear field on the 9-node star: both coupled
     # columns share the RHS's product block. The c = 0 members take no term;
     # the first starts at 1e308, where the star's A @ X overflows though the
-    # state stays finite. One coupled member pins no node. The last member
-    # is padded: with c = 0 ("mixed-c", "c0-in-the-padding-group"), its
-    # padding takes no term either.
+    # state stays finite. One coupled member pins no node. The members keep
+    # the order given, so "c0-between-coupled" couples two runs of columns.
+    # The last member is padded: with c = 0 ("mixed-c",
+    # "c0-in-the-padding-group"), its padding takes no term either.
     rng = np.random.default_rng(7)
     F = rng.uniform(-0.05, 0.05, (3, 3))
     target = rng.uniform(-1.0, 1.0, 3)
@@ -418,6 +410,19 @@ def test_summary_batch_records_no_states():
     (result,) = integrate_batch(sys, [plan], X0, 1e-3, 0.1, record_states=False)
     assert result.states is None
     assert len(result.error_metric) == 101
+
+
+@pytest.mark.parametrize("h", [1e-4, 2e-4, 5e-4])
+def test_record_times_are_step_times_h_bitwise(h):
+    # Each record's time has the bits of step * h, the product of Python
+    # numbers, at every record of a 2000-step run.
+    sys, plan = scenario_system("fig2b")
+    X0 = initial_state(sys.target, 9, 0)[None]
+    steps, record_every = 2000, 5
+    (result,) = integrate_batch(sys, [plan], X0, h, steps * h, record_every, record_states=False)
+    expected = np.array([step * h for step in range(0, steps + 1, record_every)])
+    assert result.times.dtype == expected.dtype
+    assert np.array_equal(result.times.view(np.int64), expected.view(np.int64))
 
 
 def test_batch_rejects_mismatched_states():

@@ -143,13 +143,15 @@ def test_missing_scenario_file_exits_2(capsys):
 
 
 def test_bad_explicit_pin_format_exits_2(tmp_path, capsys):
-    edges = tmp_path / "star.txt"
+    edges, plan = tmp_path / "star.txt", tmp_path / "p.json"
     main(["topology", "star", "--n", "5", "--out", str(edges)])
-    code = main([
-        "pin", "--edges", str(edges), "--explicit", "0=5",
-        "--plan-out", str(tmp_path / "p.json"),
-    ])
-    assert code == 2
+    # An empty list is refused too, not taken as no --explicit at all.
+    for explicit in ("0=5", ""):
+        code = main(["pin", "--edges", str(edges), "--explicit", explicit, "--plan-out", str(plan)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--explicit expects node:gain,... pairs, got {explicit!r}" in err
+        assert not plan.exists()
 
 
 def test_pin_explicit_duplicate_node_exits_2(tmp_path, capsys):

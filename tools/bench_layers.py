@@ -34,7 +34,15 @@ untimed before the rounds. Measured per tree and round:
 - `graph_build_us`: `barabasi_albert` alone for the same eight queries' graphs,
   one pass over the eight, per graph;
 - `sigma_star_us`: `dynamics.mode_threshold` on fig8b's system, 200 calls,
-  per call.
+  per call;
+- `write_summary_us`: `harness._write_timeseries` of one sweep member's
+  summary file, fig8b's 801 records at T = 2 (t and E), 200 writes, per write;
+- `write_full_s`: the same writer for fig2a's `--full` file, 10,001 records of
+  9 nodes' states, per write.
+
+Both writers take synthetic records on the scenario's record grid, the same
+for both trees, and write into a temporary directory removed when the timing
+ends.
 
 `--rows` names the rows to time, comma-separated; the default is all of them.
 Per tree the output holds `src_lines`, the line count of `<src>/pinnet/*.py`
@@ -66,13 +74,14 @@ BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H = 2000, 5e-4
 SIGMA_CALLS = 200
+SUMMARY_WRITES = 200
 DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
 SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
 SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
               ",".join(repr(g) for g in SWEEP_GAINS), "--T", "2.0"]
 # The rows with one number per tree and round, and all rows.
 SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us",
-               "sigma_star_us")
+               "sigma_star_us", "write_summary_us", "write_full_s")
 ROWS = ("rk4_step_us", *SCALAR_ROWS)
 MODULES = ("cli", "dynamics", "harness", "pinning", "scenarios", "spectral", "topology")
 
@@ -89,8 +98,10 @@ def load(alias: str, src: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{alias}.{m}") for m in MODULES})
 
 
-def rows(pkg: SimpleNamespace) -> dict:
-    """Per row of one tree: a function doing one measurement's work, and its divisor."""
+def rows(pkg: SimpleNamespace, scratch: Path) -> dict:
+    """Per row of one tree: a function doing one measurement's work, and its divisor.
+
+    The writer rows write into the directory `scratch`, which must exist."""
     dynamics, spectral, topology = pkg.dynamics, pkg.spectral, pkg.topology
     initial_state = pkg.harness.initial_state
 
@@ -173,6 +184,27 @@ def rows(pkg: SimpleNamespace) -> dict:
             dynamics.mode_threshold(sys_ba)
 
     work["sigma_star_us"] = (thresholds, SIGMA_CALLS / 1e6)
+
+    values = np.random.default_rng(0)
+
+    def records(name, T, n_nodes):
+        """Synthetic records of scenario `name` at horizon T: its record times,
+        random errors and random states of its n_nodes nodes."""
+        sim = pkg.scenarios.get_scenario(name).sim
+        times = np.arange(0, round(T / sim.h) + 1, sim.record_every) * sim.h
+        states = values.uniform(-30.0, 30.0, (len(times), n_nodes, 3))
+        return pkg.dynamics.SimulationResult(times, states, values.uniform(0.0, 30.0, len(times)))
+
+    write = pkg.harness._write_timeseries
+    summary, summary_path = records("fig8b", 2.0, sys_ba.n_nodes), scratch / "summary.csv"
+    full, full_path = records("fig2a", 5.0, sys_star.n_nodes), scratch / "full.csv"
+
+    def summaries():
+        for _ in range(SUMMARY_WRITES):
+            write(summary_path, summary, False)
+
+    work["write_summary_us"] = (summaries, SUMMARY_WRITES / 1e6)
+    work["write_full_s"] = (lambda: write(full_path, full, True), 1.0)
     return work
 
 
@@ -205,20 +237,25 @@ def main(argv=None) -> int:
     if any(row not in ROWS for row in selected):
         parser.error(f"--rows takes names from {', '.join(ROWS)}, got {args.rows!r}")
 
-    work = {label: rows(load(f"_pinnet_tree{i}", src)) for i, (label, src) in enumerate(trees)}
     labels = [label for label, _ in trees]
-    runs: dict = {label: {row: [] for row in work[label]} for label in labels}
-    for row in [row for row in work[labels[0]] if row.split("/")[0] in selected]:
-        for label in labels:
-            work[label][row][0]()
-        for r in range(args.rounds):
-            for label in labels if r % 2 == 0 else labels[::-1]:
-                fn, per = work[label][row]
-                start = time.perf_counter()
-                fn()
-                runs[label][row].append((time.perf_counter() - start) / per)
-        print(f"{row}: " + ", ".join(f"{label} {_sig(statistics.median(runs[label][row]))}"
-                                     for label in labels), file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_layers_") as scratch:
+        work = {}
+        for i, (label, src) in enumerate(trees):
+            out = Path(scratch, f"tree{i}")
+            out.mkdir()
+            work[label] = rows(load(f"_pinnet_tree{i}", src), out)
+        runs: dict = {label: {row: [] for row in work[label]} for label in labels}
+        for row in [row for row in work[labels[0]] if row.split("/")[0] in selected]:
+            for label in labels:
+                work[label][row][0]()
+            for r in range(args.rounds):
+                for label in labels if r % 2 == 0 else labels[::-1]:
+                    fn, per = work[label][row]
+                    start = time.perf_counter()
+                    fn()
+                    runs[label][row].append((time.perf_counter() - start) / per)
+            print(f"{row}: " + ", ".join(f"{label} {_sig(statistics.median(runs[label][row]))}"
+                                         for label in labels), file=sys.stderr)
 
     def per_row(fn):
         """fn over each selected row's values, rk4_step_us keyed by batch size."""
@@ -244,6 +281,10 @@ def main(argv=None) -> int:
                           f"seed-{DESIGN_SEED} queries; one pass / 8",
         "sigma_star_us": f"mode_threshold on fig8b's system; {SIGMA_CALLS} calls / "
                          f"{SIGMA_CALLS}",
+        "write_summary_us": f"_write_timeseries of a summary file, 801 synthetic records "
+                            f"of fig8b at T = 2; {SUMMARY_WRITES} writes / {SUMMARY_WRITES}",
+        "write_full_s": "_write_timeseries of a --full file, 10,001 synthetic records of "
+                        "fig2a's 9 nodes; one write",
     }
     layers: dict = {
         "method": {
