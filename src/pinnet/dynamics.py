@@ -39,7 +39,7 @@ __all__ = [
     "SimulationResult",
     "chen_field",
     "integrate_batch",
-    "step_count",
+    "member_steps",
     "sync_time",
     "mode_threshold",
 ]
@@ -268,9 +268,11 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     return rhs
 
 
-def step_count(h: float, T: float, record_every: int) -> int:
-    """The number of steps of h in the horizon T, refused unless T is a whole
-    number of record intervals h * record_every."""
+def member_steps(sys: NetworkSystem, plan: PinningPlan, lam_min: Optional[float], h: float,
+                 T: float, record_every: int) -> int:
+    """The steps of h in the horizon T of one member of `sys` under `plan`, refused unless
+    T is a whole number of record intervals h * record_every and h * (L_f + c *
+    (|lam_min| + max gain)) <= 2.5; lam_min, lambda_min(A), is read only if c != 0."""
     positive("h", h)
     if not (math.isfinite(T) and T >= h):
         raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
@@ -283,6 +285,14 @@ def step_count(h: float, T: float, record_every: int) -> int:
         raise ContractViolationError(
             f"horizon T={T!r} is not a whole number of record intervals of "
             f"h={h!r} * record_every={record_every}"
+        )
+    c, stiffness = plan.coupling_strength, sys.dynamics.lipschitz
+    if c != 0.0:
+        stiffness += c * (abs(lam_min) + max(plan.gains))
+    if h * stiffness > RK4_STABILITY_SPAN:
+        raise ContractViolationError(
+            f"step h={h:g} exceeds the stability guard "
+            f"{RK4_STABILITY_SPAN:g}/{stiffness:g} = {RK4_STABILITY_SPAN / stiffness:.3g}"
         )
     return steps
 
@@ -299,13 +309,11 @@ def integrate_batch(
     """Fixed-step classical RK4 over [0, T] of B members of `sys` in one step loop.
 
     Member b runs plans[b] from X0[b] (X0 is (B, N, n)) in state column b,
-    bit for bit as its solo run, and must pass the guard h * (L_f + c *
-    (|lambda_min(A)| + max gain)) <= 2.5. T must be a whole number of record
-    intervals h * record_every. Returns per member a SimulationResult recorded
-    every `record_every` steps (per-node states only if `record_states`), or,
-    for a member gone non-finite, its DivergenceError; the others run on.
+    bit for bit as its solo run, and must pass member_steps. Returns per
+    member a SimulationResult recorded every `record_every` steps (per-node
+    states only if `record_states`), or, for a member gone non-finite, its
+    DivergenceError; the others run on. No plans take no step and give [].
     """
-    steps = step_count(h, T, record_every)
     B = len(plans)
     shape = (B, sys.n_nodes, sys.dynamics.dimension)
     X0 = np.asarray(X0, dtype=float)
@@ -313,20 +321,12 @@ def integrate_batch(
         raise ContractViolationError(f"initial states shape {X0.shape}, expected {shape}")
     if any(p.n_nodes != sys.n_nodes for p in plans):
         raise ContractViolationError(f"every plan must be on the system's {sys.n_nodes} nodes")
-
-    lam_min = None
+    coupled = any(p.coupling_strength != 0.0 for p in plans)
+    lam_min = eig_symmetric(sys.coupling).lambda_min if coupled else None
     for plan in plans:
-        c = plan.coupling_strength
-        stiffness = sys.dynamics.lipschitz
-        if c != 0.0:
-            if lam_min is None:
-                lam_min = eig_symmetric(sys.coupling).lambda_min
-            stiffness += c * (abs(lam_min) + max(plan.gains))
-        if h * stiffness > RK4_STABILITY_SPAN:
-            raise ContractViolationError(
-                f"step h={h:g} exceeds the stability guard "
-                f"{RK4_STABILITY_SPAN:g}/{stiffness:g} = {RK4_STABILITY_SPAN / stiffness:.3g}"
-            )
+        steps = member_steps(sys, plan, lam_min, h, T, record_every)
+    if not plans:
+        return []
 
     records = steps // record_every + 1
     try:

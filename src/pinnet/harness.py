@@ -22,14 +22,14 @@ from .dynamics import (
     SimulationResult,
     chen_field,
     integrate_batch,
+    member_steps,
     mode_threshold,
-    step_count,
     sync_time,
 )
 from .errors import DivergenceError, ScenarioDefinitionError, about, positive
 from .pinning import PinningPlan, cost, plan_to_dict
 from .scenarios import Scenario
-from .spectral import controlled_spectrum
+from .spectral import controlled_spectrum, eig_symmetric
 from .topology import RNG_ALGORITHM, Graph, coupling_matrix
 
 __all__ = [
@@ -125,12 +125,12 @@ def run_scenarios(
 
     Raises ScenarioDefinitionError, before anything is built, when two
     scenarios share a name (their artifacts would overwrite each other), and
-    when a realized cost disagrees with the scenario's expected value; an error
-    raised while a scenario is resolved, its horizon checked first if it is to
-    be simulated, names it. Divergence is an outcome row, so sweeps keep going.
-    Each distinct topology's graph, system and sigma* are built once.
-    Scenarios sharing the topology, h, T and record_every run in one
-    integrate_batch call, each with the numbers and artifacts of its run alone.
+    when a realized cost disagrees with the scenario's expected value. An error
+    raised while a scenario is resolved, or by member_steps if it is to be
+    simulated, names it before any group runs; an error of a group's run names
+    its scenarios. Divergence is an outcome row. Each topology's graph, system,
+    sigma* and coupling spectrum are built once. Scenarios sharing the topology,
+    h, T and record_every run in one integrate_batch call, each as its solo run.
     """
     names = set()
     for s in scenarios:
@@ -140,19 +140,19 @@ def run_scenarios(
     networks, built, groups = {}, [], {}
     for i, s in enumerate(scenarios):
         with about(s.name):
-            if simulate:
-                step_count(s.sim.h, s.sim.T, s.sim.record_every)
             if s.topology not in networks:
                 g = s.topology.build()
                 sys = build_system(g)
-                networks[s.topology] = g, sys, mode_threshold(sys)
-            g, sys, sigma_star = networks[s.topology]
+                networks[s.topology] = g, sys, mode_threshold(sys), eig_symmetric(sys.coupling)
+            g, sys, sigma_star, eigs = networks[s.topology]
             plan = s.plan.build(g)
             cf = cost(plan)
             if s.expected_cf is not None and cf != s.expected_cf:
                 raise ScenarioDefinitionError(
                     f"cost {cf!r} does not match expected {s.expected_cf!r}")
             lam_max = controlled_spectrum(sys.coupling, plan).lambda_max
+            if simulate:
+                member_steps(sys, plan, eigs.lambda_min, s.sim.h, s.sim.T, s.sim.record_every)
         built.append((plan, ReportRow(
             s.name, cf, plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
         )))
@@ -164,10 +164,10 @@ def run_scenarios(
         # One draw per distinct seed: a sweep's members all share one.
         seeds = [scenarios[i].sim.init_seed for i in idx]
         starts = {seed: initial_state(sys.target, sys.n_nodes, seed) for seed in set(seeds)}
-        batch = integrate_batch(
-            sys, [built[i][0] for i in idx], np.array([starts[seed] for seed in seeds]), h, T,
-            record_every=record_every, record_states=full_states,
-        )
+        X0 = np.array([starts[seed] for seed in seeds])
+        with about(", ".join(scenarios[i].name for i in idx)):
+            batch = integrate_batch(sys, [built[i][0] for i in idx], X0, h, T, record_every,
+                                    record_states=full_states)
         for i, result in zip(idx, batch):
             results[i] = result
 

@@ -438,6 +438,16 @@ def test_batch_rejects_a_plan_on_other_nodes():
         integrate_batch(sys, [plan, PinningPlan(8, (0.0,) * 8, 1.0)], X0, 1e-3, 0.1)
 
 
+def test_empty_batch_binds_no_rhs(monkeypatch):
+    sys, _ = scenario_system("fig2a")
+
+    def refuse(*args):
+        raise AssertionError("an empty batch bound the RHS")
+
+    monkeypatch.setattr(pinnet.dynamics, "_rhs", refuse)
+    assert integrate_batch(sys, [], np.empty((0, 9, 3)), 1e-4, 5.0, 5) == []
+
+
 def test_c_sweep_guard_failure_matches_solo_message():
     base = get_scenario("fig8b")
     base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, T=0.01))
@@ -447,8 +457,31 @@ def test_c_sweep_guard_failure_matches_solo_message():
     worst = dataclasses.replace(base, name="solo", plan=plan, expected_cf=None)
     with pytest.raises(ContractViolationError) as solo:
         run_scenarios([worst])
-    assert "stability guard" in str(solo.value)
-    assert str(batched.value) == str(solo.value)
+    batched, solo = str(batched.value), str(solo.value)
+    assert batched.startswith("fig8b+c01=1000: ") and solo.startswith("solo: ")
+    assert "stability guard" in solo
+    assert batched.removeprefix("fig8b+c01=1000: ") == solo.removeprefix("solo: ")
+
+
+def test_guard_refusal_comes_before_any_group_runs(monkeypatch):
+    calls = []
+    real = pinnet.harness.integrate_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pinnet.harness, "integrate_batch", spy)
+    first, base = get_scenario("fig6c"), get_scenario("fig8b")
+    first = dataclasses.replace(first, sim=dataclasses.replace(first.sim, T=0.5))
+    stiff = dataclasses.replace(
+        base, name="stiff", plan=dataclasses.replace(base.plan, c=1000.0), expected_cf=None,
+        sim=dataclasses.replace(base.sim, T=0.01),
+    )
+    # fig6c's group is first: a guard checked per group would let it integrate.
+    with pytest.raises(ContractViolationError, match="^stiff: step h=0.0005 exceeds the stab"):
+        run_scenarios([first, stiff])
+    assert calls == []
 
 
 def test_reproduce_fig6_groups_are_bitwise_solo_runs(tmp_path, monkeypatch, capsys):

@@ -365,9 +365,30 @@ def test_horizon_whose_records_cannot_be_allocated_exits_2(T, records, full, tmp
     path.write_text(json.dumps(d))
     assert main(["simulate", str(path), "--out", str(out)] + ["--full"] * full) == 2
     err = capsys.readouterr().err
+    assert err.startswith("error: fig2a: horizon T=")
     assert f"horizon T={float(T)!r} at h=0.0001 and record_every=5 needs" in err
     if records is not None:
         assert f"needs {records} records" in err
+    assert not out.exists()
+
+
+def test_record_refusal_names_its_group(tmp_path, capsys):
+    # fig6a and fig6b share h = 1e-3: numpy refuses their (2e18 + 1, 3) error
+    # array without allocating it.
+    out = tmp_path / "out"
+    assert main(["reproduce", "fig6", "--T", "1e16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: fig6a, fig6b: horizon T=1e+16 at h=0.001")
+    assert not out.exists()
+
+
+def test_guard_refusal_names_its_sweep_member(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "fig8b", "--vary", "c", "--values", "6,1000", "--T", "0.01"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: fig8b+c01=1000: step h=0.0005 exceeds the stability guard "
+        "2.5/24149.2 = 0.000104\n"
+    )
     assert not out.exists()
 
 

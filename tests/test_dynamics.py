@@ -28,6 +28,7 @@ from pinnet.dynamics import (
     NetworkSystem,
     NodeDynamics,
     chen_field,
+    member_steps,
     mode_threshold,
     sync_time,
 )
@@ -282,6 +283,36 @@ class TestIntegrateRk4:
         sys = chen_star_system()
         with pytest.raises(ContractViolationError, match="finite"):
             integrate_one(sys, LEAF_PLAN, np.tile(sys.target, (9, 1)), h, T)
+
+
+class TestMemberSteps:
+    # The 9-node star's coupling matrix has lambda_min = -9.
+    @pytest.mark.parametrize("h,T,record_every,message", [
+        (0.0, 1.0, 1, "h must be finite and positive, got 0.0"),
+        (math.nan, 1.0, 1, "h must be finite and positive, got nan"),
+        (1e-3, 1e-4, 1, "T must be finite and at least one step, got 0.0001"),
+        (1e-3, 1.0, 0, "record_every must be >= 1"),
+        (5e-324, 0.004, 1, "T=0.004 / h=5e-324 overflows: no finite step count"),
+        (1e-4, 0.00126, 5, "horizon T=0.00126 is not a whole number of record "
+                           "intervals of h=0.0001 * record_every=5"),
+        (1e-3, 1.0, 1, "step h=0.001 exceeds the stability guard 2.5/3170 = 0.000789"),
+    ], ids=["h-zero", "h-nan", "T-below-h", "record-every-0", "overflow", "off-grid", "guard"])
+    def test_refusals(self, h, T, record_every, message):
+        plan = plan_explicit(9, {0: 300.0}, 10.0)  # stiffness 80 + 10 * (9 + 300)
+        with pytest.raises(ContractViolationError) as exc:
+            member_steps(chen_star_system(), plan, -9.0, h, T, record_every)
+        assert str(exc.value) == message
+
+    def test_step_count(self):
+        assert member_steps(chen_star_system(), LEAF_PLAN, -9.0, 1e-4, 5.0, 5) == 50000
+
+    @pytest.mark.parametrize("lam_min", [None, math.nan, -1e300])
+    def test_uncoupled_guard_is_the_field_stiffness_alone(self, lam_min):
+        sys, plan = chen_star_system(), plan_explicit(9, {0: 300.0}, 0.0)
+        assert member_steps(sys, plan, lam_min, 2.5 / 80, 2.5 / 40, 1) == 2
+        with pytest.raises(ContractViolationError) as exc:
+            member_steps(sys, plan, lam_min, 2.5 / 40, 2.5 / 20, 1)
+        assert str(exc.value) == "step h=0.0625 exceeds the stability guard 2.5/80 = 0.0312"
 
 
 class TestSyncMetrics:

@@ -35,6 +35,9 @@ untimed before the rounds. Measured per tree and round:
   one pass over the eight, per graph;
 - `sigma_star_us`: `dynamics.mode_threshold` on fig8b's system, 200 calls,
   per call;
+- `plan_build_us`: `PlanSpec.build` of the 16 shipped scenarios' plan
+  recipes, each on its topology's graph built beforehand, 200 passes over
+  the 16, per plan;
 - `write_summary_us`: `harness._write_timeseries` of one sweep member's
   summary file, fig8b's 801 records at T = 2 (t and E), 200 writes, per write;
 - `write_full_s`: the same writer for fig2a's `--full` file, 10,001 records of
@@ -74,6 +77,7 @@ BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H = 2000, 5e-4
 SIGMA_CALLS = 200
+PLAN_PASSES = 200
 SUMMARY_WRITES = 200
 DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
 SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
@@ -81,7 +85,7 @@ SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
               ",".join(repr(g) for g in SWEEP_GAINS), "--T", "2.0"]
 # The rows with one number per tree and round, and all rows.
 SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us",
-               "sigma_star_us", "write_summary_us", "write_full_s")
+               "sigma_star_us", "plan_build_us", "write_summary_us", "write_full_s")
 ROWS = ("rk4_step_us", *SCALAR_ROWS)
 MODULES = ("cli", "dynamics", "harness", "pinning", "scenarios", "spectral", "topology")
 
@@ -185,6 +189,17 @@ def rows(pkg: SimpleNamespace, scratch: Path) -> dict:
 
     work["sigma_star_us"] = (thresholds, SIGMA_CALLS / 1e6)
 
+    shipped = pkg.scenarios.SCENARIOS.values()
+    built = {s.topology: s.topology.build() for s in shipped}
+    recipes = [(s.plan, built[s.topology]) for s in shipped]
+
+    def plans():
+        for _ in range(PLAN_PASSES):
+            for recipe, g in recipes:
+                recipe.build(g)
+
+    work["plan_build_us"] = (plans, PLAN_PASSES * len(recipes) / 1e6)
+
     values = np.random.default_rng(0)
 
     def records(name, T, n_nodes):
@@ -281,6 +296,8 @@ def main(argv=None) -> int:
                           f"seed-{DESIGN_SEED} queries; one pass / 8",
         "sigma_star_us": f"mode_threshold on fig8b's system; {SIGMA_CALLS} calls / "
                          f"{SIGMA_CALLS}",
+        "plan_build_us": f"PlanSpec.build of the shipped scenarios' plan recipes on graphs "
+                         f"built beforehand; {PLAN_PASSES} passes, per plan",
         "write_summary_us": f"_write_timeseries of a summary file, 801 synthetic records "
                             f"of fig8b at T = 2; {SUMMARY_WRITES} writes / {SUMMARY_WRITES}",
         "write_full_s": "_write_timeseries of a --full file, 10,001 synthetic records of "
