@@ -56,9 +56,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _load_scenario(ref: str) -> Scenario:
-    """A scenario reference is a shipped name or a path to a scenario JSON."""
+    """A scenario reference is a scenario JSON (a .json path or any file) or a shipped name."""
     path = Path(ref)
-    if path.suffix == ".json" or path.exists():
+    if path.suffix == ".json" or path.is_file():
         d = read_json(path)
         with about(path):
             return Scenario.from_dict(d)
@@ -80,6 +80,8 @@ def _comma_list(flag: str, text: str, kind: type) -> list:
 def _run(scenarios: list[Scenario], args, stem: Optional[str], simulate: bool = True) -> int:
     """Run the scenarios with their artifacts and, unless stem is None, the report
     <stem>.csv and .txt in args.out; print the table, exit 3 if any row diverged."""
+    if stem in {s.name for s in scenarios}:
+        raise ScenarioDefinitionError(f"scenario {stem!r} would overwrite the report {stem}.csv")
     rows = run_scenarios(scenarios, args.out, simulate, args.full)
     report = write_report(rows, None if stem is None else args.out, stem)
     print(report.to_table_text(), end="")

@@ -17,7 +17,7 @@ comes from the Routh-Hurwitz conditions, polynomials in c*lambda_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,9 +34,9 @@ from .spectral import eig_symmetric
 
 __all__ = [
     "NodeDynamics",
-    "ChenParameters",
     "NetworkSystem",
     "SimulationResult",
+    "chen_equilibrium",
     "chen_field",
     "integrate_batch",
     "member_steps",
@@ -44,8 +44,10 @@ __all__ = [
     "mode_threshold",
 ]
 
-# Documented stiffness estimate for the chaotic oscillator below; feeds the
-# RK4 step-size guard h * (L + c * (|lambda_min(A)| + max gain)) <= 2.5.
+# The chaotic oscillator's parameters (a, b, c) in the paper's regime, and its
+# documented stiffness estimate, which feeds the RK4 step-size guard
+# h * (L + c * (|lambda_min(A)| + max gain)) <= 2.5.
+CHEN_A, CHEN_B, CHEN_C = 35.0, 3.0, 28.0
 CHEN_LIPSCHITZ = 80.0
 RK4_STABILITY_SPAN = 2.5
 
@@ -68,34 +70,20 @@ class NodeDynamics:
     lipschitz: float
 
 
-@dataclass(frozen=True)
-class ChenParameters:
-    """Chaotic oscillator parameters; defaults give the standard chaotic regime."""
-
-    a: float = 35.0
-    b: float = 3.0
-    c: float = 28.0
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            positive(f"Chen parameter {name}", getattr(self, name))
-        if 2.0 * self.c - self.a <= 0:
-            raise ContractViolationError("need 2c - a > 0 for real equilibria")
-
-    def equilibrium(self) -> np.ndarray:
-        """Nonzero equilibrium (r, r, 2c-a) with r = sqrt(b(2c-a))."""
-        r = math.sqrt(self.b * (2.0 * self.c - self.a))
-        return np.array([r, r, 2.0 * self.c - self.a])
+def chen_equilibrium() -> np.ndarray:
+    """The nonzero equilibrium (r, r, 2c - a) of chen_field, r = sqrt(b (2c - a))."""
+    r = math.sqrt(CHEN_B * (2.0 * CHEN_C - CHEN_A))
+    return np.array([r, r, 2.0 * CHEN_C - CHEN_A])
 
 
-def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
-    """Three-dimensional chaotic oscillator
+def chen_field() -> NodeDynamics:
+    """Three-dimensional chaotic oscillator in the paper's regime (a, b, c) = (35, 3, 28)
 
     dx = a (y - x)
     dy = (c - a) x - x z + c y
     dz = x y - b z
     """
-    a, b, c = p.a, p.b, p.c
+    a, b, c = CHEN_A, CHEN_B, CHEN_C
     # a as a 0-d float64 array, made once: a ufunc takes it with less
     # overhead than a Python float, with the same arithmetic.
     a0 = np.array(a)
@@ -144,12 +132,13 @@ def chen_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
 
 @dataclass(frozen=True)
 class NetworkSystem:
-    """The network that plans are compared on: dynamics, coupling, inner linking, target."""
+    """The network that plans are compared on: dynamics, symmetric coupling, Gamma, target."""
 
     dynamics: NodeDynamics
     coupling: np.ndarray
     gamma: np.ndarray
     target: np.ndarray
+    lambda_min: float = field(init=False)  # the coupling's least eigenvalue, for the RK4 guard
 
     def __post_init__(self):
         n = self.dynamics.dimension
@@ -172,6 +161,7 @@ class NetworkSystem:
             raise ContractViolationError(
                 f"target is not an equilibrium of the node field (|f(s)|={resid:.3g})"
             )
+        object.__setattr__(self, "lambda_min", eig_symmetric(self.coupling).lambda_min)
 
     @property
     def n_nodes(self) -> int:
@@ -268,11 +258,11 @@ def _rhs(sys: NetworkSystem, plans: Sequence[PinningPlan], X: np.ndarray,
     return rhs
 
 
-def member_steps(sys: NetworkSystem, plan: PinningPlan, lam_min: Optional[float], h: float,
-                 T: float, record_every: int) -> int:
+def member_steps(sys: NetworkSystem, plan: PinningPlan, h: float, T: float,
+                 record_every: int) -> int:
     """The steps of h in the horizon T of one member of `sys` under `plan`, refused unless
     T is a whole number of record intervals h * record_every and h * (L_f + c *
-    (|lam_min| + max gain)) <= 2.5; lam_min, lambda_min(A), is read only if c != 0."""
+    (|lambda_min(A)| + max gain)) <= 2.5; sys.lambda_min is read only if c != 0."""
     positive("h", h)
     if not (math.isfinite(T) and T >= h):
         raise ContractViolationError(f"T must be finite and at least one step, got {T!r}")
@@ -288,7 +278,7 @@ def member_steps(sys: NetworkSystem, plan: PinningPlan, lam_min: Optional[float]
         )
     c, stiffness = plan.coupling_strength, sys.dynamics.lipschitz
     if c != 0.0:
-        stiffness += c * (abs(lam_min) + max(plan.gains))
+        stiffness += c * (abs(sys.lambda_min) + max(plan.gains))
     if h * stiffness > RK4_STABILITY_SPAN:
         raise ContractViolationError(
             f"step h={h:g} exceeds the stability guard "
@@ -321,10 +311,8 @@ def integrate_batch(
         raise ContractViolationError(f"initial states shape {X0.shape}, expected {shape}")
     if any(p.n_nodes != sys.n_nodes for p in plans):
         raise ContractViolationError(f"every plan must be on the system's {sys.n_nodes} nodes")
-    coupled = any(p.coupling_strength != 0.0 for p in plans)
-    lam_min = eig_symmetric(sys.coupling).lambda_min if coupled else None
     for plan in plans:
-        steps = member_steps(sys, plan, lam_min, h, T, record_every)
+        steps = member_steps(sys, plan, h, T, record_every)
     if not plans:
         return []
 

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
-    ChenParameters,
     NetworkSystem,
     SimulationResult,
+    chen_equilibrium,
     chen_field,
     integrate_batch,
     member_steps,
@@ -29,7 +29,7 @@ from .dynamics import (
 from .errors import DivergenceError, ScenarioDefinitionError, about, positive
 from .pinning import PinningPlan, cost, plan_to_dict
 from .scenarios import Scenario
-from .spectral import controlled_spectrum, eig_symmetric
+from .spectral import controlled_spectrum
 from .topology import RNG_ALGORITHM, Graph, coupling_matrix
 
 __all__ = [
@@ -111,8 +111,7 @@ def initial_state(target: np.ndarray, n_nodes: int, seed: int) -> np.ndarray:
 
 def build_system(g: Graph) -> NetworkSystem:
     """The chaotic network on graph g, coupled through GAMMA, its target an equilibrium."""
-    params = ChenParameters()
-    return NetworkSystem(chen_field(params), coupling_matrix(g), GAMMA, params.equilibrium())
+    return NetworkSystem(chen_field(), coupling_matrix(g), GAMMA, chen_equilibrium())
 
 
 def run_scenarios(
@@ -128,8 +127,8 @@ def run_scenarios(
     when a realized cost disagrees with the scenario's expected value. An error
     raised while a scenario is resolved, or by member_steps if it is to be
     simulated, names it before any group runs; an error of a group's run names
-    its scenarios. Divergence is an outcome row. Each topology's graph, system,
-    sigma* and coupling spectrum are built once. Scenarios sharing the topology,
+    its scenarios. Divergence is an outcome row. Each topology's graph, system
+    and sigma* are built once. Scenarios sharing the topology,
     h, T and record_every run in one integrate_batch call, each as its solo run.
     """
     names = set()
@@ -143,8 +142,8 @@ def run_scenarios(
             if s.topology not in networks:
                 g = s.topology.build()
                 sys = build_system(g)
-                networks[s.topology] = g, sys, mode_threshold(sys), eig_symmetric(sys.coupling)
-            g, sys, sigma_star, eigs = networks[s.topology]
+                networks[s.topology] = g, sys, mode_threshold(sys)
+            g, sys, sigma_star = networks[s.topology]
             plan = s.plan.build(g)
             cf = cost(plan)
             if s.expected_cf is not None and cf != s.expected_cf:
@@ -152,7 +151,7 @@ def run_scenarios(
                     f"cost {cf!r} does not match expected {s.expected_cf!r}")
             lam_max = controlled_spectrum(sys.coupling, plan).lambda_max
             if simulate:
-                member_steps(sys, plan, eigs.lambda_min, s.sim.h, s.sim.T, s.sim.record_every)
+                member_steps(sys, plan, s.sim.h, s.sim.T, s.sim.record_every)
         built.append((plan, ReportRow(
             s.name, cf, plan.pinned_count, lam_max, sigma_star, None, "not-simulated"
         )))

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from pinnet.dynamics import (
-    ChenParameters,
+    CHEN_A,
+    CHEN_B,
+    CHEN_C,
     NetworkSystem,
     NodeDynamics,
     SimulationResult,
@@ -80,9 +82,9 @@ def linear_field(F: np.ndarray) -> NodeDynamics:
     return NodeDynamics(n, bind, jacobian, spectral_norm)
 
 
-def chen_reference_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
-    """chen_field(p) with the ten-call kernel that forms each linear term alone."""
-    a0, b0, c0, c_a = (np.array(v) for v in (p.a, p.b, p.c, p.c - p.a))
+def chen_reference_field() -> NodeDynamics:
+    """chen_field() with the ten-call kernel that forms each linear term alone."""
+    a0, b0, c0, c_a = (np.array(v) for v in (CHEN_A, CHEN_B, CHEN_C, CHEN_C - CHEN_A))
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def bind(x: np.ndarray, out: np.ndarray):
@@ -103,7 +105,7 @@ def chen_reference_field(p: ChenParameters = ChenParameters()) -> NodeDynamics:
 
         return field
 
-    field = chen_field(p)
+    field = chen_field()
     return NodeDynamics(3, bind, field.jacobian, field.lipschitz)
 
 

@@ -17,8 +17,8 @@ from dynamics_oracle import (
     quad_condition_sample,
 )
 from pinnet.dynamics import (
-    ChenParameters,
     NetworkSystem,
+    chen_equilibrium,
     chen_field,
     mode_threshold,
 )
@@ -173,12 +173,11 @@ def test_07_modal_decomposition():
 
 def test_08_rk4_order_on_chen():
     _start(8)
-    p = ChenParameters()
     from pinnet.topology import Graph
     sys = NetworkSystem(
-        chen_field(p), coupling_matrix(Graph(1, frozenset())), np.ones(3), p.equilibrium(),
+        chen_field(), coupling_matrix(Graph(1, frozenset())), np.ones(3), chen_equilibrium(),
     )
-    x0 = p.equilibrium() + np.array([0.5, -0.3, 0.2])
+    x0 = chen_equilibrium() + np.array([0.5, -0.3, 0.2])
     ends = []
     for h in (2e-3, 1e-3, 5e-4):
         res = integrate_one(sys, PinningPlan(1, (0.0,), 0.0), x0[None, :], h, 1.0, record_every=1)
@@ -192,11 +191,10 @@ def test_08_rk4_order_on_chen():
 
 def test_09_chen_equilibrium():
     _start(9)
-    p = ChenParameters()
-    dyn = chen_field(p)
+    dyn = chen_field()
     printed = float(np.linalg.norm(field_at(dyn, np.array([7.9373, 7.9373, 21.0]))))
     exact = float(np.linalg.norm(field_at(dyn, np.array([math.sqrt(63.0)] * 2 + [21.0]))))
-    abscissa = spectral_abscissa_3(dyn.jacobian(p.equilibrium()))
+    abscissa = spectral_abscissa_3(dyn.jacobian(chen_equilibrium()))
     ok = printed < 1e-3 and exact < 1e-12 and abscissa > 0.0
     _report(9, f"|f(printed s)|={printed:.2e} < 1e-3, |f(exact s)|={exact:.2e} < 1e-12, "
             f"abscissa {abscissa:.3f} > 0", ok)

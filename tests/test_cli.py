@@ -138,6 +138,16 @@ def test_simulate_plan_size_mismatch_exits_2(tmp_path, capsys):
     assert "5" in capsys.readouterr().err
 
 
+def test_simulate_again_beside_its_output_directory(tmp_path, monkeypatch, capsys):
+    # The first run makes the directory fig2a; the second read it as a scenario file.
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert main(["simulate", "fig2a", "--out", "fig2a", "--T", "0.01"]) == 0
+        assert capsys.readouterr().err == ""
+    meta = json.loads((tmp_path / "fig2a" / "fig2a.meta.json").read_text())
+    assert meta["scenario"]["name"] == "fig2a"
+
+
 def test_missing_scenario_file_exits_2(capsys):
     assert main(["simulate", "nonexistent.json"]) == 2
 
@@ -288,6 +298,17 @@ def test_compare_repeated_name_exits_2_writing_nothing(tmp_path, capsys):
     path.write_text(json.dumps({"scenarios": ["fig2a", twin]}))
     assert main(["compare", str(path), "--out", str(tmp_path / "out"), "--T", "0.1"]) == 2
     assert "error: scenario name 'fig2a' is used twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_scenario_named_as_the_report_exits_2_writing_nothing(tmp_path, capsys):
+    # Its time series comparison.csv was overwritten by the report, and the run exited 0.
+    clash = dict(get_scenario("fig2b").to_dict(), name="comparison")
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"scenarios": ["fig2a", clash]}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out"), "--T", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario 'comparison' would overwrite the report comparison.csv\n")
     assert not (tmp_path / "out").exists()
 
 

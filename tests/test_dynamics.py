@@ -24,9 +24,12 @@ from dynamics_oracle import (
     sync_error,
 )
 from pinnet.dynamics import (
-    ChenParameters,
+    CHEN_A,
+    CHEN_B,
+    CHEN_C,
     NetworkSystem,
     NodeDynamics,
+    chen_equilibrium,
     chen_field,
     member_steps,
     mode_threshold,
@@ -67,8 +70,7 @@ LEAF_PLAN = plan_by_degree(star(9), "smallest", 8, 1.5, 10.0)
 
 
 def chen_star_system(n=9):
-    p = ChenParameters()
-    return NetworkSystem(chen_field(p), coupling_matrix(star(n)), GAMMA, p.equilibrium())
+    return NetworkSystem(chen_field(), coupling_matrix(star(n)), GAMMA, chen_equilibrium())
 
 
 class TestChenField:
@@ -78,19 +80,17 @@ class TestChenField:
         assert np.linalg.norm(f) < 1e-3
 
     def test_exact_equilibrium(self):
-        p = ChenParameters()
-        s = p.equilibrium()
+        s = chen_equilibrium()
         assert np.allclose(s, [math.sqrt(63.0), math.sqrt(63.0), 21.0], rtol=0, atol=0)
-        assert np.linalg.norm(field_at(chen_field(p), s)) < 1e-12
+        assert np.linalg.norm(field_at(chen_field(), s)) < 1e-12
 
     def test_origin_is_equilibrium(self):
         assert np.array_equal(field_at(chen_field(), np.zeros(3)), np.zeros(3))
 
     def test_negative_equilibrium(self):
-        p = ChenParameters()
-        r = math.sqrt(p.b * (2.0 * p.c - p.a))
-        s = np.array([-r, -r, 2.0 * p.c - p.a])
-        assert np.linalg.norm(field_at(chen_field(p), s)) < 1e-12
+        r = math.sqrt(CHEN_B * (2.0 * CHEN_C - CHEN_A))
+        s = np.array([-r, -r, 2.0 * CHEN_C - CHEN_A])
+        assert np.linalg.norm(field_at(chen_field(), s)) < 1e-12
 
     def test_jacobian_matches_finite_differences(self, rng):
         dyn = chen_field()
@@ -113,24 +113,10 @@ class TestChenField:
         for i in range(7):
             assert np.allclose(batch[i], field_at(dyn, X[i]), rtol=0, atol=0)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ContractViolationError):
-            ChenParameters(a=60.0, b=3.0, c=28.0)
-
-    @pytest.mark.parametrize("name,value", [
-        ("a", math.nan), ("a", 0.0), ("b", -1.0), ("b", 0.0), ("b", math.inf),
-        ("c", math.inf), ("c", -math.inf), ("c", -28.0),
-    ])
-    def test_refuses_non_finite_or_non_positive_parameter(self, name, value):
-        with pytest.raises(ContractViolationError,
-                           match=rf"Chen parameter {name} must be finite and positive, got {value!r}$"):
-            ChenParameters(**{name: value})
-
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
-           p=st.sampled_from([ChenParameters(), ChenParameters(10.0, 8.0 / 3.0, 28.0)]))
-    @example(rows=1, seed=2151, p=ChenParameters())  # x = (NaN, -NaN, -18.7)
-    def test_kernel_bytes_equal_ten_call_reference(self, rows, seed, p):
+    @given(rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, seed=2151)  # x = (NaN, -NaN, -18.7)
+    def test_kernel_bytes_equal_ten_call_reference(self, rows, seed):
         # Rows mix finite entries with +-inf, NaNs of both signs and +-1e200,
         # whose products overflow; each entry is special with a drawn chance.
         rng = np.random.default_rng(seed)
@@ -140,8 +126,8 @@ class TestChenField:
         x = np.ascontiguousarray(x.T)  # the field takes (3, rows) planes
         out, expected = np.empty_like(x), np.empty_like(x)
         with np.errstate(all="ignore"):
-            chen_field(p).bind(x, out)()
-            chen_reference_field(p).bind(x, expected)()
+            chen_field().bind(x, out)()
+            chen_reference_field().bind(x, expected)()
         assert out.tobytes() == expected.tobytes()
 
 
@@ -184,7 +170,7 @@ class TestNetworkRhs:
 
     def test_single_uncoupled_node_reduces_to_field(self, rng):
         dyn = chen_field()
-        sys = single_node_system(dyn, ChenParameters().equilibrium())
+        sys = single_node_system(dyn, chen_equilibrium())
         x = rng.uniform(-5, 5, (1, 3))
         assert np.allclose(network_rhs(sys, zero_plan(1), x), field_at(dyn, x), atol=0)
 
@@ -219,9 +205,8 @@ class TestIntegrateRk4:
         assert res.times[-1] == pytest.approx(1.0)
 
     def test_order_four_on_chen_node(self):
-        p = ChenParameters()
-        sys = single_node_system(chen_field(p), p.equilibrium())
-        x0 = p.equilibrium() + np.array([0.5, -0.3, 0.2])
+        sys = single_node_system(chen_field(), chen_equilibrium())
+        x0 = chen_equilibrium() + np.array([0.5, -0.3, 0.2])
         ends = []
         for h in (2e-3, 1e-3, 5e-4):
             res = integrate_one(sys, zero_plan(1), x0[None, :], h, 1.0, record_every=1)
@@ -286,7 +271,11 @@ class TestIntegrateRk4:
 
 
 class TestMemberSteps:
-    # The 9-node star's coupling matrix has lambda_min = -9.
+    # The 9-node star's coupling matrix has lambda_min = -9; member_steps reads
+    # it from the system, which computes it once, when it is built.
+    def test_system_holds_the_stars_lambda_min(self):
+        assert chen_star_system().lambda_min == pytest.approx(-9.0, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("h,T,record_every,message", [
         (0.0, 1.0, 1, "h must be finite and positive, got 0.0"),
         (math.nan, 1.0, 1, "h must be finite and positive, got nan"),
@@ -300,18 +289,26 @@ class TestMemberSteps:
     def test_refusals(self, h, T, record_every, message):
         plan = plan_explicit(9, {0: 300.0}, 10.0)  # stiffness 80 + 10 * (9 + 300)
         with pytest.raises(ContractViolationError) as exc:
-            member_steps(chen_star_system(), plan, -9.0, h, T, record_every)
+            member_steps(chen_star_system(), plan, h, T, record_every)
         assert str(exc.value) == message
 
     def test_step_count(self):
-        assert member_steps(chen_star_system(), LEAF_PLAN, -9.0, 1e-4, 5.0, 5) == 50000
+        assert member_steps(chen_star_system(), LEAF_PLAN, 1e-4, 5.0, 5) == 50000
 
     @pytest.mark.parametrize("lam_min", [None, math.nan, -1e300])
     def test_uncoupled_guard_is_the_field_stiffness_alone(self, lam_min):
-        sys, plan = chen_star_system(), plan_explicit(9, {0: 300.0}, 0.0)
-        assert member_steps(sys, plan, lam_min, 2.5 / 80, 2.5 / 40, 1) == 2
+        # -1e300 is the least eigenvalue of a real one-node coupling. None and
+        # NaN are written over the star's own, so a guard that read them fails.
+        if lam_min == -1e300:
+            sys = NetworkSystem(chen_field(), [[lam_min]], GAMMA, chen_equilibrium())
+            assert sys.lambda_min == lam_min
+        else:
+            sys = chen_star_system()
+            object.__setattr__(sys, "lambda_min", lam_min)
+        plan = plan_explicit(sys.n_nodes, {0: 300.0}, 0.0)
+        assert member_steps(sys, plan, 2.5 / 80, 2.5 / 40, 1) == 2
         with pytest.raises(ContractViolationError) as exc:
-            member_steps(sys, plan, lam_min, 2.5 / 40, 2.5 / 20, 1)
+            member_steps(sys, plan, 2.5 / 40, 2.5 / 20, 1)
         assert str(exc.value) == "step h=0.0625 exceeds the stability guard 2.5/80 = 0.0312"
 
 
@@ -393,8 +390,7 @@ class TestSpectralAbscissa3:
         assert spectral_abscissa_3(np.diag([-1.0, -2.0, -3.0])) == pytest.approx(-1.0)
 
     def test_chen_equilibrium_unstable(self):
-        p = ChenParameters()
-        jac = chen_field(p).jacobian(p.equilibrium())
+        jac = chen_field().jacobian(chen_equilibrium())
         assert spectral_abscissa_3(jac) > 0.0
 
     def test_companion_of_known_cubic(self):
@@ -659,27 +655,33 @@ class TestQuadConditionSample:
 
 class TestNetworkSystemValidation:
     def test_bad_gamma(self):
-        p = ChenParameters()
         A = coupling_matrix(star(3))
         with pytest.raises(ContractViolationError):
-            NetworkSystem(chen_field(p), A, np.array([0.0, 2.0, 0.0]), p.equilibrium())
+            NetworkSystem(chen_field(), A, np.array([0.0, 2.0, 0.0]), chen_equilibrium())
 
     def test_target_not_equilibrium(self):
-        p = ChenParameters()
         A = coupling_matrix(star(3))
         with pytest.raises(ContractViolationError):
-            NetworkSystem(chen_field(p), A, GAMMA, np.array([1.0, 2.0, 3.0]))
+            NetworkSystem(chen_field(), A, GAMMA, np.array([1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_target(self, bad):
-        p = ChenParameters()
-        target = p.equilibrium()
+        target = chen_equilibrium()
         target[1] = bad
         with pytest.raises(ContractViolationError, match="target must be finite"):
-            NetworkSystem(chen_field(p), coupling_matrix(star(3)), GAMMA, target)
+            NetworkSystem(chen_field(), coupling_matrix(star(3)), GAMMA, target)
 
     def test_non_square_coupling(self):
-        p = ChenParameters()
         for shape in [(4, 3), (3, 4), (9,), (1, 3, 3)]:
             with pytest.raises(ContractViolationError, match="square"):
-                NetworkSystem(chen_field(p), np.zeros(shape), GAMMA, p.equilibrium())
+                NetworkSystem(chen_field(), np.zeros(shape), GAMMA, chen_equilibrium())
+
+    # Refused whatever the members' c: the RK4 guard reads lambda_min(A).
+    @pytest.mark.parametrize("coupling,message", [
+        ([[-1.0, 1.0], [0.0, 0.0]], "matrix is not symmetric within 1e-12 * max(1, ||M||_F)"),
+        ([[math.nan, 0.0], [0.0, 0.0]], "matrix has non-finite entries"),
+    ], ids=["asymmetric", "nan"])
+    def test_refuses_a_coupling_without_a_symmetric_spectrum(self, coupling, message):
+        with pytest.raises(ContractViolationError) as exc:
+            NetworkSystem(chen_field(), coupling, GAMMA, chen_equilibrium())
+        assert str(exc.value) == message

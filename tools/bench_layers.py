@@ -49,12 +49,21 @@ ends.
 
 `--rows` names the rows to time, comma-separated; the default is all of them.
 Per tree the output holds `src_lines`, the line count of `<src>/pinnet/*.py`
-as `wc -l` gives it, and every round's value of each row and their median;
-for two trees, per row, the ratio first / second of the medians, the median
-of the per-round ratios and the number of rounds in which the first tree was
-faster. With `--out`, these go under the file's "layers" key and every other
-key of an existing file is kept. Set OPENBLAS_NUM_THREADS=1 in the
-environment for one-thread BLAS numbers.
+as `wc -l` gives it, and every round's value of each row, their median and
+their interquartile range (`iqr`, the distance between the quartiles by
+`statistics.quantiles`' inclusive method; 0 for one round); for two trees,
+per row, the ratio first / second of the medians, the median of the
+per-round ratios and the number of rounds each tree won, that is took less
+time in; a tie counts for neither. With `--out`, these go under the file's
+"layers" key and every other key of an existing file is kept. Set
+OPENBLAS_NUM_THREADS=1 in the environment for one-thread BLAS numbers.
+
+Read a pair by the rule these numbers are for: one tree wins at least 9 of
+10 rounds, and the medians differ by more than the parent's `iqr`. Fewer
+wins show nothing. An A/A run on identical trees, two `git archive` copies
+of one commit (`--rows rk4_step_us,sweep_op_s --rounds 10`, one BLAS thread,
+a 2-vCPU shared host), read the first tree faster in 8 of 10 rounds at
+B = 5 and at B = 12, with median ratios 0.844 and 0.912.
 """
 
 from __future__ import annotations
@@ -232,6 +241,14 @@ def _sig(v: float) -> float:  # four significant digits
     return float(f"{v:.4g}")
 
 
+def _iqr(values: list) -> float:
+    """The distance between the quartiles of values, inclusive method; 0 for one value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
@@ -316,6 +333,7 @@ def main(argv=None) -> int:
         layers[label] = {"src_lines": src_lines(src), **per_row(lambda row: {
             "runs": [_sig(v) for v in runs[label][row]],
             "median": _sig(statistics.median(runs[label][row])),
+            "iqr": _sig(_iqr(runs[label][row])),
         })}
     if len(labels) == 2:
         first, second = labels
@@ -325,7 +343,8 @@ def main(argv=None) -> int:
             return {
                 "median_ratio": round(statistics.median(a) / statistics.median(b), 3),
                 "pair_ratio_median": round(statistics.median(x / y for x, y in zip(a, b)), 3),
-                f"{first}_faster": f"{sum(x < y for x, y in zip(a, b))} of {len(a)}",
+                f"{first}_won": f"{sum(x < y for x, y in zip(a, b))} of {len(a)}",
+                f"{second}_won": f"{sum(y < x for x, y in zip(a, b))} of {len(a)}",
             }
 
         layers[f"{first}_over_{second}"] = per_row(compare)
