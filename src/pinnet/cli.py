@@ -106,7 +106,7 @@ def _cmd_spectrum(args) -> int:
     g = read_edge_list(args.edges)
     try:
         A = coupling_matrix(g)
-    except (MemoryError, ValueError):  # numpy refuses arrays it cannot hold
+    except MemoryError:  # an N that numpy can describe may still not fit in memory
         raise InvalidSizeError(
             f"{args.edges}: N {g.n_nodes} is too large: the dense coupling matrix cannot be allocated"
         ) from None

@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .errors import (ContractViolationError, ScenarioDefinitionError, about, field, known_keys,
                      positive, read_json)
-from .topology import Graph, degrees
+from .topology import Graph, check_node_count, degrees
 
 __all__ = [
     "PinningPlan",
@@ -26,7 +24,6 @@ __all__ = [
     "plan_by_degree",
     "plan_explicit",
     "cost",
-    "controlled_coupling",
     "plan_to_dict",
     "pins_from_dict",
     "write_plan",
@@ -66,9 +63,6 @@ class PinningPlan:
     def pinned_count(self) -> int:
         return len(self.pinned_nodes)
 
-    def gain_array(self) -> np.ndarray:
-        return np.asarray(self.gains, dtype=float)
-
 
 def degree_order(g: Graph, strategy: str) -> list[int]:
     """Every node, highest degree first ("largest") or lowest first ("smallest").
@@ -103,6 +97,7 @@ def plan_explicit(
 
     An empty mapping yields the uncontrolled plan (CF = 0).
     """
+    check_node_count(n_nodes)
     gains = [0.0] * n_nodes
     for node, gain in gains_by_node.items():
         if not (0 <= node < n_nodes):
@@ -129,18 +124,6 @@ def cost(plan: PinningPlan) -> float:
             f"gains up to {max(plan.gains)!r} on {plan.pinned_count} pinned nodes"
         )
     return cf
-
-
-def controlled_coupling(A: np.ndarray, plan: PinningPlan) -> np.ndarray:
-    """Controlled coupling matrix: A minus the diagonal gain matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (plan.n_nodes, plan.n_nodes):
-        raise ContractViolationError(
-            f"matrix shape {A.shape} does not match plan on {plan.n_nodes} nodes"
-        )
-    out = A.copy()
-    out.flat[:: plan.n_nodes + 1] -= plan.gain_array()
-    return out
 
 
 def plan_to_dict(plan: PinningPlan) -> dict:

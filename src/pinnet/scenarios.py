@@ -31,13 +31,8 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "FAMILIES",
-    "BA_PARAMS",
     "get_scenario",
 ]
-
-# Shipped scale-free instance (n, m0, m, seed); see module docstring.
-BA_PARAMS = (20, 3, 3, 1520)
-
 
 class _Recipe:
     """A recipe of one of several kinds, kept in the JSON object SECTION. FIELDS
@@ -219,10 +214,10 @@ class Scenario:
     sim: SimParams
     expected_cf: Optional[float] = None
 
-    def __post_init__(self):  # the name is the stem of the run's artifact files
-        if not self.name or any(ch in self.name for ch in "/\\\0"):
-            raise ScenarioDefinitionError(
-                f"scenario.name must be a file name, without '/', '\\' or NUL, got {self.name!r}")
+    def __post_init__(self):  # the name is the stem of artifact files and a report field
+        if not self.name or not self.name.isprintable() or any(ch in self.name for ch in "/\\,"):
+            raise ScenarioDefinitionError(f"scenario.name must be a printable file name, "
+                                          f"without '/', '\\' or ',', got {self.name!r}")
 
     def to_dict(self) -> dict:
         d = {
@@ -250,7 +245,8 @@ class Scenario:
 
 _STAR9 = TopologySpec("star", n=9)
 _CLUSTER = TopologySpec("cluster", branch_sizes=(2, 3, 4))
-_BA = TopologySpec("ba", n=BA_PARAMS[0], m0=BA_PARAMS[1], m=BA_PARAMS[2], seed=BA_PARAMS[3])
+# Shipped scale-free instance (n, m0, m, seed); see module docstring.
+_BA = TopologySpec("ba", n=20, m0=3, m=3, seed=1520)
 
 
 def _sc(name, topo, plan, h, T, seed, cf) -> Scenario:

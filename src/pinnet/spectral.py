@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BoundaryCaseError, BoundUndefinedError, ContractViolationError,
                      NumericalFailureError, positive)
-from .pinning import PinningPlan, controlled_coupling
+from .pinning import PinningPlan
 
 __all__ = [
     "EigenDecomposition",
@@ -109,7 +109,11 @@ def eig_symmetric(M: np.ndarray) -> EigenDecomposition:
 
 def controlled_spectrum(A: np.ndarray, plan: PinningPlan) -> EigenDecomposition:
     """Spectrum of the controlled coupling matrix A - diag(gains)."""
-    return eig_symmetric(controlled_coupling(A, plan))
+    A = np.asarray(A, dtype=float)
+    n = plan.n_nodes
+    if A.shape != (n, n):
+        raise ContractViolationError(f"matrix shape {A.shape} does not match plan on {n} nodes")
+    return eig_symmetric(_controlled(A, np.arange(n), plan.gains))
 
 
 def star_leaf_gain_bound(n_nodes: int, margin: float) -> float:
@@ -158,8 +162,8 @@ def _pins(n: int, pinned: Iterable[int]) -> np.ndarray:
 
 
 def _controlled(A: np.ndarray, pins: np.ndarray, gains) -> np.ndarray:
-    """A copy of A less gains on the diagonal at pins; gains is one gain, or
-    one for every pin in pins' order."""
+    """The controlled matrix A - D: a copy of A less gains on the diagonal at
+    pins; gains is one gain, or one for every pin in pins' order."""
     a_ctrl = A.copy()
     a_ctrl.flat[pins * (A.shape[0] + 1)] -= gains
     return a_ctrl

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidSizeError, read_text
+from .errors import ContractViolationError, InvalidSizeError, about, read_text
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -73,10 +73,20 @@ class Graph:
         return a
 
 
+def check_node_count(n_nodes: int) -> None:
+    """Refuse a node count N whose dense N x N float64 coupling matrix numpy
+    cannot describe, N * N * 8 bytes being past its largest array size; each
+    reader of a node count calls it before anything of that size is built."""
+    if n_nodes * n_nodes * 8 > np.iinfo(np.intp).max:
+        raise InvalidSizeError(
+            f"N {n_nodes} is too large: the dense coupling matrix cannot be allocated")
+
+
 def star(n_nodes: int) -> Graph:
     """Star graph: node 0 is the center, nodes 1..n_nodes-1 are leaves."""
     if n_nodes < 2:
         raise InvalidSizeError(f"star needs at least 2 nodes, got {n_nodes}")
+    check_node_count(n_nodes)
     return Graph(n_nodes, frozenset((0, i) for i in range(1, n_nodes)))
 
 
@@ -95,6 +105,7 @@ def cluster_stars(branch_sizes: tuple[int, ...]) -> Graph:
     if list(branch_sizes) != sorted(branch_sizes):
         raise InvalidSizeError(f"branch sizes must be ascending, got {branch_sizes}")
     k = len(branch_sizes)
+    check_node_count(k + sum(branch_sizes))
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     leaf = k
     for center, size in enumerate(branch_sizes):
@@ -152,7 +163,8 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
     graph stays simple. Each draw is the value
     ``Generator(PCG64(seed)).integers(0, pool size)`` would give, so a graph
     whose degree pool would reach 2**32 entries, past numpy's 32-bit draws,
-    is refused before anything is built.
+    is refused before anything is built, as is one on more nodes than
+    :func:`check_node_count` allows.
 
     Parameters
     ----------
@@ -173,6 +185,7 @@ def barabasi_albert(n_nodes: int, m0: int, m: int, seed: int) -> Graph:
             f"degree pool of {pool_size} entries reaches 2**32: n_nodes={n_nodes}, m0={m0}, "
             f"m={m} is too large"
         )
+    check_node_count(n_nodes)
     pick = _index_draws(seed)
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     # One entry per unit of degree; uniform draws from this list realise
@@ -235,6 +248,8 @@ def read_edge_list(path) -> Graph:
         raise InvalidSizeError(f"{path}:{k}: expected header 'N <n>', got {header}") from None
     if n < 1:
         raise InvalidSizeError(f"{path}:{k}: graph needs at least one node, got {n}")
+    with about(path):
+        check_node_count(n)
     line_of: dict[tuple[int, int], int] = {}  # each edge, canonical, and its line
     for k, fields in lines[1:]:
         try:

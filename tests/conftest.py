@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from pinnet.harness import run_scenarios
+from pinnet.scenarios import SCENARIOS
 from pinnet.topology import Graph
 
 
@@ -24,6 +26,12 @@ def random_connected_graph(rng: np.random.Generator, n_nodes: int, extra_p: floa
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20240817))
+
+
+@pytest.fixture(scope="session")
+def shipped_rows():
+    """The report row of every shipped scenario by name, from one run_scenarios call."""
+    return {row.name: row for row in run_scenarios(list(SCENARIOS.values()))}
 
 
 # For property tests that write a file: each example overwrites the same one

@@ -200,9 +200,9 @@ def test_09_chen_equilibrium():
             f"abscissa {abscissa:.3f} > 0", ok)
 
 
-def test_10_headline_star_comparison():
+def test_10_headline_star_comparison(shipped_rows):
     _start(10)
-    row_a, row_b = run_scenarios([get_scenario("fig2a"), get_scenario("fig2b")])
+    row_a, row_b = shipped_rows["fig2a"], shipped_rows["fig2b"]
     sync_a = math.inf if row_a.sync_time is None else row_a.sync_time
     sync_b = math.inf if row_b.sync_time is None else row_b.sync_time
     ok = row_b.cf < row_a.cf and sync_b < sync_a
@@ -210,12 +210,12 @@ def test_10_headline_star_comparison():
             f"sync {sync_b:g} < {sync_a:g}", ok)
 
 
-def test_11_stability_consistency_star_cluster():
+def test_11_stability_consistency_star_cluster(shipped_rows):
     _start(11)
     mismatches = []
     names = ("fig2a", "fig2b", "fig3a", "fig3b", "fig5a", "fig5b")
-    rows = run_scenarios([get_scenario(name) for name in names])
-    for name, row in zip(names, rows):
+    for name in names:
+        row = shipped_rows[name]
         scenario = get_scenario(name)
         g = scenario.topology.build()
         sys_net, plan = build_system(g), scenario.plan.build(g)

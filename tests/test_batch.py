@@ -120,7 +120,7 @@ def test_sweep_draws_its_shared_initial_state_once(monkeypatch):
 
 def reference_rk4(sys, plan, X, h, T, record_every):
     """The solo step loop integrate_batch replaced, kept as the bitwise reference."""
-    c, eps = plan.coupling_strength, plan.gain_array()
+    c, eps = plan.coupling_strength, np.asarray(plan.gains, dtype=float)
 
     def rhs(X):
         out = field_at(sys.dynamics, X)

@@ -414,7 +414,7 @@ def test_guard_refusal_names_its_sweep_member(tmp_path, capsys):
 
 
 def test_spectrum_of_an_edge_list_too_large_for_a_dense_matrix_exits_2(tmp_path, capsys):
-    # No N x N matrix of 2**40 nodes can be held: numpy refuses it at once.
+    # No N x N matrix of 2**40 nodes can be described: the header is refused.
     edges = tmp_path / "huge.edges"
     edges.write_text(f"N {2**40}\n0 1\n")
     assert main(["spectrum", "--edges", str(edges)]) == 2
@@ -519,9 +519,24 @@ def test_scenario_name_that_is_no_file_name_exits_2(name, tmp_path, capsys):
     path.write_text(json.dumps(dict(get_scenario("fig2b").to_dict(), name=name)))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out"), "--T", "0.01"]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path}: scenario.name must be a file name, without '/', '\\' or NUL, "
+        f"error: {path}: scenario.name must be a printable file name, without '/', '\\' or ',', "
         f"got {name!r}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("name", ["hub,leaf", "two\nlines", "nul\0"], ids=["comma", "newline", "nul"])
+def test_compare_scenario_name_that_splits_a_report_row_exits_2_writing_nothing(
+        name, tmp_path, capsys):
+    # The name is a field of comparison.csv: "hub,leaf" and "two\nlines" ran,
+    # exited 0 and left rows of 8 and 1 and 7 fields under a 7-field header.
+    bad = dict(get_scenario("fig2b").to_dict(), name=name)
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"scenarios": ["fig2a", bad]}))
+    assert main(["compare", str(path), "--out", str(tmp_path / "out"), "--T", "0.05"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: scenarios[1]: scenario.name must be a printable file name, "
+        f"without '/', '\\' or ',', got {name!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cmp.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -645,3 +660,13 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     code = main(["simulate", "fig2b", "--h", "1e-3", "--T", "0.5"])
     assert code == 3
     assert "diverged" in capsys.readouterr().out
+
+
+def test_pin_on_an_edge_list_too_large_for_a_dense_matrix_exits_2(tmp_path, capsys):
+    # The header was read, and degrees() went on to build a list of 2**40 counts.
+    edges, plan = tmp_path / "huge.edges", tmp_path / "plan.json"
+    edges.write_text(f"N {2**40}\n0 1\n")
+    assert main(["pin", "--edges", str(edges), "--plan-out", str(plan)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {edges}: N {2**40} is too large: the dense coupling matrix cannot be allocated\n")
+    assert not plan.exists()

@@ -185,7 +185,7 @@ class TestNetworkRhs:
         gamma = np.array([1.0, 0.0, 1.0])
         sys = NetworkSystem(linear_field(F), A, gamma, np.zeros(nn))
         X = rng.uniform(-1, 1, (n, nn))
-        G = np.diag(plan.gain_array())
+        G = np.diag(plan.gains)
         block = np.kron(np.eye(n), F) + 0.8 * np.kron(A - G, np.diag(gamma))
         expected = (block @ X.reshape(-1)).reshape(n, nn)
         assert np.allclose(network_rhs(sys, plan, X), expected, atol=1e-12)

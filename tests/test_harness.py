@@ -21,6 +21,7 @@ from pinnet.harness import (
 from pinnet.scenarios import (
     FAMILIES, SCENARIOS, PlanSpec, Scenario, SimParams, TopologySpec, get_scenario,
 )
+from shipped_rows import SHIPPED_ROWS, TOL
 
 EXPECTED_CFS = {
     "fig2a": 3000.0, "fig2b": 120.0,
@@ -49,8 +50,8 @@ plan_specs = st.one_of(
     st.builds(PlanSpec, st.just("explicit"), positive, gains=st.dictionaries(counts, positive),
               n=st.none() | counts),
 )
-scenarios = st.builds(  # a name is a file stem: no path separator or NUL
-    Scenario, st.text(st.characters(exclude_characters="/\\\0"), min_size=1),
+scenarios = st.builds(  # a name is a file stem and a CSV field: printable, no separator or comma
+    Scenario, st.text(st.characters(exclude_characters="/\\,").filter(str.isprintable), min_size=1),
     topology_specs, plan_specs,
     st.builds(SimParams, h=positive, T=positive, tol=positive, init_seed=st.integers(0),
               record_every=counts),
@@ -333,11 +334,24 @@ class TestSweep:
         assert (tmp_path / "sweep.txt").exists()
 
 
+def test_shipped_rows_match_the_committed_table(shipped_rows):
+    mismatches = []
+    for name, (cf, pinned, lam, sigma, sync, outcome) in SHIPPED_ROWS.items():
+        row = shipped_rows[name]
+        if not (row.cf == cf and row.pinned_count == pinned
+                and abs(row.lambda_max_controlled - lam) <= TOL
+                and abs(row.sigma_star - sigma) <= TOL
+                and row.sync_time == sync and row.outcome == outcome):
+            mismatches.append(f"{name}: {row} != {SHIPPED_ROWS[name]}")
+    assert sorted(shipped_rows) == sorted(SHIPPED_ROWS)
+    assert not mismatches, "\n".join(mismatches)
+
+
 class TestBaComparison:
-    def test_small_degree_pinning_beats_hubs(self):
+    def test_small_degree_pinning_beats_hubs(self, shipped_rows):
         # the shipped scale-free instance: eleven small nodes at CF 330
         # synchronize sooner than three hubs at CF 9000
-        rows = {r.name: r for r in run_scenarios([get_scenario("fig6c"), get_scenario("fig7")])}
+        rows = shipped_rows
         assert rows["fig7"].cf == 330.0 and rows["fig6c"].cf == 9000.0
         assert rows["fig7"].outcome == "synchronized"
         assert rows["fig7"].sync_time < rows["fig6c"].sync_time

@@ -1,16 +1,15 @@
 import json
 import math
+import re
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import TMP_FILE_SETTINGS, mutated, random_connected_graph
-from pinnet.errors import ContractViolationError, PinnetError
+from conftest import TMP_FILE_SETTINGS, mutated
+from pinnet.errors import ContractViolationError, InvalidSizeError, PinnetError
 from pinnet.pinning import (
     PinningPlan,
-    controlled_coupling,
     cost,
     plan_by_degree,
     plan_explicit,
@@ -19,7 +18,7 @@ from pinnet.pinning import (
     read_plan,
     write_plan,
 )
-from pinnet.topology import cluster_stars, coupling_matrix, star
+from pinnet.topology import cluster_stars, star
 
 
 class TestPlanByDegree:
@@ -158,40 +157,16 @@ class TestCost:
             assert scaled_g == pytest.approx(k * base, rel=1e-12)
 
 
-class TestControlledCoupling:
-    def test_center_pin(self):
-        A = coupling_matrix(star(9))
-        plan = plan_explicit(9, {0: 300.0}, 10.0)
-        At = controlled_coupling(A, plan)
-        assert At[0, 0] == -308.0
-        assert all(At[i, i] == -1.0 for i in range(1, 9))
-        assert np.array_equal(At - np.diag(np.diag(At)), A - np.diag(np.diag(A)))
-
-    def test_zero_plan_identity(self):
-        A = coupling_matrix(star(5))
-        plan = PinningPlan(5, (0.0,) * 5, 1.0)
-        assert np.array_equal(controlled_coupling(A, plan), A)
-
-    def test_leaf_pins(self):
-        A = coupling_matrix(star(9))
-        plan = plan_by_degree(star(9), "smallest", 8, 1.5, 10.0)
-        At = controlled_coupling(A, plan)
-        assert np.array_equal(np.diag(At), [-8.0] + [-2.5] * 8)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            controlled_coupling(np.zeros((3, 3)), PinningPlan(4, (0.0,) * 4, 1.0))
-
-    def test_preserves_off_diagonal(self, rng):
-        g = random_connected_graph(rng, 8)
-        A = coupling_matrix(g)
-        plan = plan_explicit(8, {1: 2.0, 5: 3.5}, 1.0)
-        At = controlled_coupling(A, plan)
-        off = ~np.eye(8, dtype=bool)
-        assert np.array_equal(At[off], A[off])
-
-
 class TestPlanValidation:
+    def test_node_count_numpy_cannot_describe_refused_at_once(self, tmp_path):
+        too_large = f"N {2**40} is too large: the dense coupling matrix cannot be allocated"
+        with pytest.raises(InvalidSizeError, match=re.escape(too_large)):
+            plan_explicit(2**40, {}, 1.0)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2**40, "c": 1.0, "pins": []}))
+        with pytest.raises(InvalidSizeError, match=re.escape(f"{path}: {too_large}")):
+            read_plan(path)
+
     def test_negative_gain_rejected(self):
         with pytest.raises(ContractViolationError):
             PinningPlan(3, (0.0, -1.0, 0.0), 1.0)

@@ -100,6 +100,35 @@ class TestEigSymmetric:
 
 
 class TestControlledSpectrum:
+    """The spectrum is that of A - diag(gains), formed as eigvalsh sees it:
+    every diagonal entry loses its gain, zeros included, and nothing else moves."""
+
+    @staticmethod
+    def _assert_spectrum_of_controlled(A, plan):
+        expected = np.linalg.eigvalsh(A - np.diag(plan.gains))[::-1]
+        assert np.array_equal(controlled_spectrum(A, plan).eigenvalues, expected)
+
+    def test_center_pin(self):
+        self._assert_spectrum_of_controlled(coupling_matrix(star(9)), plan_explicit(9, {0: 300.0}, 10.0))
+
+    def test_zero_plan_identity(self):
+        A = coupling_matrix(star(5))
+        plan = PinningPlan(5, (0.0,) * 5, 1.0)
+        self._assert_spectrum_of_controlled(A, plan)
+        assert np.array_equal(controlled_spectrum(A, plan).eigenvalues, eig_symmetric(A).eigenvalues)
+
+    def test_leaf_pins(self):
+        self._assert_spectrum_of_controlled(coupling_matrix(star(9)), leaf_plan(9, 1.5, 10.0))
+
+    def test_preserves_off_diagonal(self, rng):
+        A = coupling_matrix(random_connected_graph(rng, 8))
+        self._assert_spectrum_of_controlled(A, plan_explicit(8, {1: 2.0, 5: 3.5}, 1.0))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ContractViolationError,
+                           match=re.escape("matrix shape (3, 3) does not match plan on 4 nodes")):
+            controlled_spectrum(np.zeros((3, 3)), PinningPlan(4, (0.0,) * 4, 1.0))
+
     def test_leaf_pinning_beats_margin(self):
         A = coupling_matrix(star(9))
         dec = controlled_spectrum(A, leaf_plan(9, 1.5, 10.0))

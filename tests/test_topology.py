@@ -13,6 +13,7 @@ from pinnet.spectral import eig_symmetric
 from pinnet.topology import (
     Graph,
     barabasi_albert,
+    check_node_count,
     cluster_stars,
     coupling_matrix,
     degrees,
@@ -266,7 +267,7 @@ class TestBarabasiAlbertDraws:
     def test_pool_below_2_32_goes_on_to_draw(self, monkeypatch):
         monkeypatch.setattr(pinnet.topology, "_index_draws", _no_draws)
         with pytest.raises(_Drew):
-            barabasi_albert(2**31, 1, 1, 0)  # pool 2**32 - 2
+            barabasi_albert(2**30 - 1, 2, 2, 0)  # pool 2**32 - 10; N = 2**31 is refused as too large
 
 
 class TestCouplingMatrix:
@@ -387,4 +388,33 @@ class TestEdgeListIO:
         path = tmp_path / "bad.txt"
         path.write_text("0 1\n")
         with pytest.raises(InvalidSizeError):
+            read_edge_list(path)
+
+
+def _too_large(n):
+    return re.escape(f"N {n} is too large: the dense coupling matrix cannot be allocated")
+
+
+class TestNodeCountNumpyCannotDescribe:
+    """A dense N x N float matrix takes N * N * 8 bytes; past numpy's largest
+    array size the count is refused before anything of that size is built."""
+
+    def test_boundary(self):
+        check_node_count(2**30 - 1)  # 8 * (2**30 - 1)**2 < 2**63
+        with pytest.raises(InvalidSizeError, match=_too_large(2**30)):
+            check_node_count(2**30)
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: star(2**40), 2**40),
+        (lambda: cluster_stars((2**40,)), 2**40 + 1),
+        (lambda: barabasi_albert(2**30, 1, 1, 0), 2**30),  # its degree pool is below 2**32
+    ], ids=["star", "cluster", "ba"])
+    def test_constructor_refuses_at_once(self, build, n):
+        with pytest.raises(InvalidSizeError, match=_too_large(n)):
+            build()
+
+    def test_edge_list_header_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text(f"N {2**40}\n0 1\n")
+        with pytest.raises(InvalidSizeError, match=f"^{re.escape(str(path))}: {_too_large(2**40)}$"):
             read_edge_list(path)

@@ -41,13 +41,18 @@ untimed before the rounds. Measured per tree and round:
 - `write_summary_us`: `harness._write_timeseries` of one sweep member's
   summary file, fig8b's 801 records at T = 2 (t and E), 200 writes, per write;
 - `write_full_s`: the same writer for fig2a's `--full` file, 10,001 records of
-  9 nodes' states, per write.
+  9 nodes' states, per write;
+- `tier1_s`, only when `--rows` names it: one run of the Tier-1 suite, `python
+  -m pytest -q --continue-on-collection-errors` in the checkout that holds the
+  tree (the parent of its `src`) with that `src` first on PYTHONPATH, in a
+  child process; a suite that does not pass stops the timing.
 
 Both writers take synthetic records on the scenario's record grid, the same
 for both trees, and write into a temporary directory removed when the timing
 ends.
 
-`--rows` names the rows to time, comma-separated; the default is all of them.
+`--rows` names the rows to time, comma-separated; the default is all of them
+but `tier1_s`.
 Per tree the output holds `src_lines`, the line count of `<src>/pinnet/*.py`
 as `wc -l` gives it, and every round's value of each row, their median and
 their interquartile range (`iqr`, the distance between the quartiles by
@@ -74,6 +79,7 @@ import importlib.util
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -96,6 +102,8 @@ SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
 SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us",
                "sigma_star_us", "plan_build_us", "write_summary_us", "write_full_s")
 ROWS = ("rk4_step_us", *SCALAR_ROWS)
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+ALL_ROWS = (*ROWS, "tier1_s")  # tier1_s only when asked for
 MODULES = ("cli", "dynamics", "harness", "pinning", "scenarios", "spectral", "topology")
 
 
@@ -232,6 +240,16 @@ def rows(pkg: SimpleNamespace, scratch: Path) -> dict:
     return work
 
 
+def tier1(src: str) -> None:
+    """One run of the Tier-1 suite of the checkout holding the tree `src`."""
+    src = Path(src).resolve()
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *TIER1], cwd=src.parent, stdout=subprocess.DEVNULL,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    if done.returncode != 0:
+        raise RuntimeError(f"the Tier-1 suite of {src.parent} exited {done.returncode}")
+
+
 def src_lines(src: str) -> int:
     """The newline count of the tree's `pinnet/*.py` files, as `wc -l` gives it."""
     return sum(path.read_bytes().count(b"\n") for path in Path(src, "pinnet").glob("*.py"))
@@ -257,7 +275,8 @@ def main(argv=None) -> int:
                         help="timed repeats per row and tree, the trees alternating")
     parser.add_argument("--out", type=Path, help="JSON file to write the results into")
     parser.add_argument("--rows", default=",".join(ROWS),
-                        help="comma-separated rows to time (default: all of " + ", ".join(ROWS) + ")")
+                        help="comma-separated rows to time (default: all of " + ", ".join(ROWS)
+                        + "; tier1_s only when named)")
     args = parser.parse_args(argv)
 
     trees = [spec.partition("=")[::2] for spec in args.src]
@@ -266,8 +285,8 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     selected = args.rows.split(",")
-    if any(row not in ROWS for row in selected):
-        parser.error(f"--rows takes names from {', '.join(ROWS)}, got {args.rows!r}")
+    if any(row not in ALL_ROWS for row in selected):
+        parser.error(f"--rows takes names from {', '.join(ALL_ROWS)}, got {args.rows!r}")
 
     labels = [label for label, _ in trees]
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as scratch:
@@ -276,6 +295,7 @@ def main(argv=None) -> int:
             out = Path(scratch, f"tree{i}")
             out.mkdir()
             work[label] = rows(load(f"_pinnet_tree{i}", src), out)
+            work[label]["tier1_s"] = (lambda src=src: tier1(src), 1.0)
         runs: dict = {label: {row: [] for row in work[label]} for label in labels}
         for row in [row for row in work[labels[0]] if row.split("/")[0] in selected]:
             for label in labels:
@@ -294,7 +314,7 @@ def main(argv=None) -> int:
         return {
             row: {str(B): fn(f"{row}/{B}") for B in BATCH_SIZES} if row == "rk4_step_us"
             else fn(row)
-            for row in ROWS if row in selected
+            for row in ALL_ROWS if row in selected
         }
 
     method = {
@@ -319,6 +339,8 @@ def main(argv=None) -> int:
                             f"of fig8b at T = 2; {SUMMARY_WRITES} writes / {SUMMARY_WRITES}",
         "write_full_s": "_write_timeseries of a --full file, 10,001 synthetic records of "
                         "fig2a's 9 nodes; one write",
+        "tier1_s": "python " + " ".join(TIER1) + " in the tree's checkout, its src first on "
+                   "PYTHONPATH, in a child process; one run",
     }
     layers: dict = {
         "method": {
