@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import (InvalidSizeError, PinnetError, ScenarioDefinitionError, about, checked,
-                     field, known_keys, read_json)
+from .errors import (PinnetError, ScenarioDefinitionError, about, checked, field, known_keys,
+                     read_json)
 from .harness import run_scenarios, sweep, write_report
 from .pinning import plan_by_degree, plan_explicit, read_plan, write_plan
 from .scenarios import FAMILIES, Scenario, get_scenario
@@ -104,22 +104,15 @@ def _cmd_topology(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = read_edge_list(args.edges)
-    try:
+    plan = None if args.plan is None else read_plan(args.plan)
+    if plan is not None and plan.n_nodes != g.n_nodes:
+        raise ScenarioDefinitionError(
+            f"{args.plan}: plan on {plan.n_nodes} nodes does not match "
+            f"{args.edges} on {g.n_nodes} nodes"
+        )
+    with about(args.edges):  # an N that numpy can describe may still not fit in memory
         A = coupling_matrix(g)
-    except MemoryError:  # an N that numpy can describe may still not fit in memory
-        raise InvalidSizeError(
-            f"{args.edges}: N {g.n_nodes} is too large: the dense coupling matrix cannot be allocated"
-        ) from None
-    if args.plan is not None:
-        plan = read_plan(args.plan)
-        if plan.n_nodes != g.n_nodes:
-            raise ScenarioDefinitionError(
-                f"{args.plan}: plan on {plan.n_nodes} nodes does not match "
-                f"{args.edges} on {g.n_nodes} nodes"
-            )
-        dec = controlled_spectrum(A, plan)
-    else:
-        dec = eig_symmetric(A)
+        dec = eig_symmetric(A) if plan is None else controlled_spectrum(A, plan)
     print("index,eigenvalue")
     for i, lam in enumerate(dec.eigenvalues):
         print(f"{i},{lam:.12g}")
@@ -262,6 +255,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PinnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEFINITION
+    except MemoryError:  # outside every scenario and file, which name their own
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DEFINITION
 
 

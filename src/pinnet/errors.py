@@ -17,7 +17,7 @@ class PinnetError(Exception):
 
 
 class InvalidSizeError(PinnetError, ValueError):
-    """A topology constructor was given inconsistent or too-small sizes."""
+    """A size is inconsistent, too small, or too large to allocate."""
 
 
 class ContractViolationError(PinnetError, ValueError):
@@ -63,12 +63,15 @@ class ScenarioDefinitionError(PinnetError, ValueError):
 @contextmanager
 def about(where):
     """Re-raise a PinnetError or OSError raised inside as "<where>: <message>",
-    of the same type and with the original as its cause; nested uses read
-    outermost first. Other exceptions pass through untouched."""
+    of the same type and with the original as its cause, and a MemoryError as
+    an InvalidSizeError "<where>: out of memory"; nested uses read outermost
+    first. Other exceptions pass through untouched."""
     try:
         yield
     except (PinnetError, OSError) as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+    except MemoryError as exc:  # a size numpy can describe but the host cannot hold
+        raise InvalidSizeError(f"{where}: out of memory") from exc
 
 
 def positive(name: str, value, error: type = ContractViolationError) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import ScenarioDefinitionError, checked, field, known_keys, positive
@@ -34,31 +33,40 @@ __all__ = [
     "get_scenario",
 ]
 
-class _Recipe:
-    """A recipe of one of several kinds, kept in the JSON object SECTION. FIELDS
-    gives each kind's fields and JSON types in reading order: a list holds ints,
-    a dict maps node indices to gains, and a (type, None) field is optional."""
+class _Section:
+    """A JSON object SECTION of a scenario file, read and written through FIELDS,
+    which gives each kind's fields and JSON types in reading order; a section
+    without kinds has the one kind None and no "kind" key. A list holds ints, a
+    dict maps node indices to gains, a section class is an object read through
+    its from_dict, and a missing (type, None) field keeps the class default."""
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name, typ in self.FIELDS.get(self.kind, {}).items():
+        kind = getattr(self, "kind", None)
+        d = {} if kind is None else {"kind": kind}
+        for name, typ in self.FIELDS.get(kind, {}).items():
             value = getattr(self, name)
             if value is not None:
                 d[name] = (list(value) if typ is list else
-                           {str(k): v for k, v in value.items()} if typ is dict else value)
+                           {str(k): v for k, v in value.items()} if typ is dict else
+                           value.to_dict() if isinstance(value, _Section) else value)
         return d
 
     @classmethod
     def from_dict(cls, d: dict):
-        kind = field(d, cls.SECTION, "kind", str, None)
+        kind = None if None in cls.FIELDS else field(d, cls.SECTION, "kind", str, None)
         if kind not in cls.FIELDS:
             raise ScenarioDefinitionError(f"unknown {cls.SECTION} kind {kind!r}")
-        known_keys(d, cls.SECTION, ("kind", *cls.FIELDS[kind]))
-        values = {}
+        values = {} if kind is None else {"kind": kind}
+        known_keys(d, cls.SECTION, (*values, *cls.FIELDS[kind]))
         for name, typ in cls.FIELDS[kind].items():
-            at = f"{cls.SECTION}.{name}"
-            value = field(d, cls.SECTION, name, *(typ if isinstance(typ, tuple) else (typ,)))
-            if typ is list:
+            typ, *default = typ if isinstance(typ, tuple) else (typ,)
+            at, section = f"{cls.SECTION}.{name}", issubclass(typ, _Section)
+            value = field(d, cls.SECTION, name, dict if section else typ, *default)
+            if value is None:  # missing and optional
+                continue
+            if section:
+                value = typ.from_dict(value)
+            elif typ is list:
                 value = tuple(checked(x, int, f"{at}[{k}]") for k, x in enumerate(value))
             elif typ is dict:
                 gains = {}
@@ -74,11 +82,11 @@ class _Recipe:
                     gains[node] = checked(gain, float, f"{at}.{key}")
                 value = gains
             values[name] = value
-        return cls(kind, **values)
+        return cls(**values)
 
 
 @dataclass(frozen=True)
-class TopologySpec(_Recipe):
+class TopologySpec(_Section):
     """Recipe for one of the supported graph families."""
 
     SECTION = "topology"
@@ -106,7 +114,7 @@ class TopologySpec(_Recipe):
 
 
 @dataclass(frozen=True)
-class PlanSpec(_Recipe):
+class PlanSpec(_Section):
     """Recipe for a pinning plan, resolved against a concrete graph.
 
     kinds: "by_degree" (strategy + count), "mixed" (largest + smallest
@@ -170,8 +178,12 @@ class PlanSpec(_Recipe):
 
 
 @dataclass(frozen=True)
-class SimParams:
+class SimParams(_Section):
     """Integration step, horizon, sync tolerance, and the init-condition seed."""
+
+    SECTION = "sim"
+    FIELDS = {None: {"h": float, "T": float, "tol": (float, None), "init_seed": (int, None),
+                     "record_every": (int, None)}}
 
     h: float
     T: float
@@ -190,24 +202,13 @@ class SimParams:
                 f"sim.init_seed must be a non-negative integer, got {seed!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h, "T": self.T, "tol": self.tol,
-            "init_seed": self.init_seed, "record_every": self.record_every,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SimParams":
-        known_keys(d, "sim", ("h", "T", "tol", "init_seed", "record_every"))
-        get = partial(field, d, "sim")
-        return SimParams(
-            h=get("h", float), T=get("T", float), tol=get("tol", float, 1e-2),
-            init_seed=get("init_seed", int, 0), record_every=get("record_every", int, 5),
-        )
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Section):
+    SECTION = "scenario"
+    FIELDS = {None: {"name": str, "topology": TopologySpec, "plan": PlanSpec, "sim": SimParams,
+                     "expected_cf": (float, None)}}
+
     name: str
     topology: TopologySpec
     plan: PlanSpec
@@ -219,28 +220,10 @@ class Scenario:
             raise ScenarioDefinitionError(f"scenario.name must be a printable file name, "
                                           f"without '/', '\\' or ',', got {self.name!r}")
 
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "topology": self.topology.to_dict(),
-            "plan": self.plan.to_dict(),
-            "sim": self.sim.to_dict(),
-        }
-        if self.expected_cf is not None:
-            d["expected_cf"] = self.expected_cf
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "Scenario":
-        known_keys(d, "scenario", ("name", "topology", "plan", "sim", "expected_cf"))
-        get = partial(field, d, "scenario")
-        return Scenario(
-            name=get("name", str),
-            topology=TopologySpec.from_dict(get("topology", dict)),
-            plan=PlanSpec.from_dict(get("plan", dict)),
-            sim=SimParams.from_dict(get("sim", dict)),
-            expected_cf=None if d.get("expected_cf") is None else get("expected_cf", float),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "Scenario":  # "expected_cf": null reads as absent
+        null = isinstance(d, dict) and d.get("expected_cf", 0) is None
+        return super().from_dict({k: v for k, v in d.items() if k != "expected_cf"} if null else d)
 
 
 _STAR9 = TopologySpec("star", n=9)

@@ -670,3 +670,83 @@ def test_pin_on_an_edge_list_too_large_for_a_dense_matrix_exits_2(tmp_path, caps
     assert capsys.readouterr().err == (
         f"error: {edges}: N {2**40} is too large: the dense coupling matrix cannot be allocated\n")
     assert not plan.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("builder", [
+    "pinnet.scenarios.star", "pinnet.harness.coupling_matrix", "pinnet.scenarios.plan_by_degree",
+    "pinnet.harness.controlled_spectrum",
+], ids=["topology", "coupling", "plan", "spectrum"])
+@pytest.mark.parametrize("command,name", [
+    ("simulate", "fig2a"), ("compare", "fig2a"), ("sweep", "fig2a+epsilon00=1"),
+    ("reproduce", "fig2a"),
+])
+def test_memory_error_resolving_a_scenario_exits_2_naming_it(builder, command, name, tmp_path,
+                                                              monkeypatch, capsys):
+    # A star of 2**29 nodes passes check_node_count, but its graph need not
+    # fit in memory: simulate exited 1 with the MemoryError's traceback. Each
+    # builder raises it here on fig2a's 9 nodes, as such a host would.
+    fig2a = get_scenario("fig2a").to_dict()
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"scenarios": [fig2a, "fig2b"]} if command == "compare" else fig2a))
+    argv = {"simulate": [str(doc)], "compare": [str(doc)], "reproduce": ["fig2"],
+            "sweep": ["fig2a", "--vary", "epsilon", "--values", "1"]}[command]
+    monkeypatch.setattr(builder, _out_of_memory)
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {name}: out of memory\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("builder", ["pinnet.cli.coupling_matrix", "pinnet.cli.eig_symmetric"])
+def test_memory_error_of_a_spectrum_exits_2_naming_the_edge_list(builder, tmp_path, monkeypatch,
+                                                                 capsys):
+    edges = tmp_path / "star.edges"
+    assert main(["topology", "star", "--n", "4", "--out", str(edges)]) == 0
+    monkeypatch.setattr(builder, _out_of_memory)
+    assert main(["spectrum", "--edges", str(edges)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {edges}: out of memory\n")
+
+
+@pytest.mark.parametrize("builder,argv", [
+    ("pinnet.cli.star", ["topology", "star", "--n", "9"]),
+    ("pinnet.cli.plan_by_degree", ["pin", "--edges", "{edges}", "--plan-out", "{plan}"]),
+], ids=["topology", "pin"])
+def test_memory_error_outside_any_scenario_or_file_exits_2(builder, argv, tmp_path, monkeypatch,
+                                                           capsys):
+    edges, plan = tmp_path / "star.edges", tmp_path / "plan.json"
+    assert main(["topology", "star", "--n", "4", "--out", str(edges)]) == 0
+    monkeypatch.setattr(builder, _out_of_memory)
+    assert main([a.format(edges=edges, plan=plan) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not plan.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(expected_cf=None), None),
+    (lambda d: d.update(plan={"kind": "explicit", "c": 10.0, "gains": {"1": 1.5}, "n": None}),
+     "plan.n must be an integer, got None"),
+    (lambda d: d.update(sim=None), "scenario.sim must be an object, got None"),
+    (lambda d: d["sim"].update(kind="rk4"),
+     "sim.kind is not a known key (expected one of h, T, tol, init_seed, record_every)"),
+    (lambda d: d.update(topology=[]), "scenario.topology must be an object, got []"),
+], ids=["expected_cf-null", "plan.n-null", "sim-null", "sim-kind", "topology-list"])
+def test_scenario_file_reader_edge_cases(edit, message, tmp_path, capsys):
+    # One reader serves every section of a scenario file; these are its
+    # answers where a section has no kinds, holds a null or is no object.
+    scenario = get_scenario("fig2b").to_dict()
+    edit(scenario)
+    path = tmp_path / "doc.json"
+    argv = ["simulate", str(path), "--h", "1e-3", "--T", "0.5"]
+    path.write_text(json.dumps(scenario))
+    code, captured = main(argv), capsys.readouterr()
+    if message is not None:
+        assert (code, captured.out, captured.err) == (2, "", f"error: {path}: {message}\n")
+        return
+    del scenario["expected_cf"]  # a null expected cost reads as an absent one
+    path.write_text(json.dumps(scenario))
+    assert (main(argv), capsys.readouterr()) == (code, captured)
+    assert code == 0

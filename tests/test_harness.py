@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import pinnet.harness
 from conftest import mutated
-from pinnet.errors import PinnetError, ScenarioDefinitionError
+from pinnet.dynamics import integrate_batch, sync_time
+from pinnet.errors import DivergenceError, PinnetError, ScenarioDefinitionError
 from pinnet.harness import (
     ComparisonReport,
+    build_system,
     initial_state,
     run_scenarios,
     sweep,
@@ -345,6 +347,47 @@ def test_shipped_rows_match_the_committed_table(shipped_rows):
             mismatches.append(f"{name}: {row} != {SHIPPED_ROWS[name]}")
     assert sorted(shipped_rows) == sorted(SHIPPED_ROWS)
     assert not mismatches, "\n".join(mismatches)
+
+
+# The shipped scenarios whose sync times are nearest to moving: the least
+# distance of their error E to tol on the record grid is only 8.4 (fig5a) and
+# 7.7 (fig8a) times the largest change in E that halving h makes.
+KNIFE_EDGE = ("fig5a", "fig8a")
+
+
+def _moved(name, label, got, row):
+    """A line naming scenario `name` if its (outcome, sync time) `got` differs from `row`'s."""
+    want = (row.outcome, row.sync_time)
+    return [] if got == want else [f"{name} ({label}): {got} != shipped {want}"]
+
+
+def test_halved_step_on_the_same_record_grid_moves_no_sync_time(shipped_rows):
+    # Truncation: at h/2, every second step recorded, each time on the grid
+    # is the shipped one, and the outcome and sync time must be too.
+    halved = [dataclasses.replace(s, sim=dataclasses.replace(
+        s.sim, h=s.sim.h / 2, record_every=2 * s.sim.record_every))
+        for s in map(get_scenario, KNIFE_EDGE)]
+    moved = [line for row in run_scenarios(halved) for line in _moved(
+        row.name, "h/2", (row.outcome, row.sync_time), shipped_rows[row.name])]
+    assert not moved, "\n".join(moved)
+
+
+def test_one_ulp_nudge_of_the_start_moves_no_sync_time(shipped_rows):
+    # Roundoff: the shipped start and the start one ulp above it, as one
+    # two-member batch, both give the shipped outcome and sync time.
+    moved = []
+    for s in map(get_scenario, KNIFE_EDGE):
+        g = s.topology.build()
+        sys, plan = build_system(g), s.plan.build(g)
+        X0 = initial_state(sys.target, sys.n_nodes, s.sim.init_seed)
+        batch = integrate_batch(sys, [plan, plan], np.array([X0, np.nextafter(X0, np.inf)]),
+                                s.sim.h, s.sim.T, s.sim.record_every)
+        for label, result in zip(("shipped start", "nudged start"), batch):
+            at = None if isinstance(result, DivergenceError) else sync_time(result, s.sim.tol)
+            outcome = ("diverged" if isinstance(result, DivergenceError) else
+                       "not-synchronized" if at is None else "synchronized")
+            moved += _moved(s.name, label, (outcome, at), shipped_rows[s.name])
+    assert not moved, "\n".join(moved)
 
 
 class TestBaComparison:

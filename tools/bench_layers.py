@@ -22,17 +22,13 @@ untimed before the rounds. Measured per tree and round:
   to a multiple of n members, as the integrator holds it;
 - `reproduce_all_s`: `pinnet reproduce <family> --out DIR` for the seven
   families fig2 ... fig9, summary artifacts;
-- `sweep_op_s`: one operation of perfbench's `sweep_ba` at seed 0, `pinnet
-  sweep fig8b --vary epsilon` over its twelve gains at T = 2 through
-  `cli.main` into a fresh temporary directory;
-- `design_query_us`: one controller-design query of perfbench's `design_ba`,
-  built as there from seed 1: the eight queries pin the smallest-degree half
-  or the three hubs of scale-free graphs on 30, 39, 33 and 36 nodes (m0 = m =
-  3); each builds its graph, asks `min_uniform_gain` (margin 0.5, tol 1e-6)
-  and, for a gain, confirms it with `schur_feasible` and the `lambda_max` of
-  `controlled_spectrum`; one pass over the eight, per query;
-- `graph_build_us`: `barabasi_albert` alone for the same eight queries' graphs,
-  one pass over the eight, per graph;
+- `sweep_op_s`: one operation of perfbench's `sweep_ba` at seed 0, its
+  `SweepBA(pkg, 0).run` into a fresh temporary directory;
+- `design_query_us`: one controller-design query of perfbench's `design_ba`
+  at seed 1, its `DesignBA(pkg, 1).run` over the workload's eight queries, one
+  pass over the eight, per query;
+- `graph_build_us`: `barabasi_albert` alone for the graphs of the same
+  workload's `queries`, one pass over the eight, per graph;
 - `sigma_star_us`: `dynamics.mode_threshold` on fig8b's system, 200 calls,
   per call;
 - `plan_build_us`: `PlanSpec.build` of the 16 shipped scenarios' plan
@@ -47,9 +43,10 @@ untimed before the rounds. Measured per tree and round:
   tree (the parent of its `src`) with that `src` first on PYTHONPATH, in a
   child process; a suite that does not pass stops the timing.
 
-Both writers take synthetic records on the scenario's record grid, the same
-for both trees, and write into a temporary directory removed when the timing
-ends.
+The three perfbench rows import `perfbench/workloads.py`, and only read it,
+so they run the benchmark's own operations. Both writers take synthetic
+records on the scenario's record grid, the same for both trees, and write
+into a temporary directory removed when the timing ends.
 
 `--rows` names the rows to time, comma-separated; the default is all of them
 but `tier1_s`.
@@ -88,16 +85,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
+# perfbench's workload classes, imported from the benchmark's own directory.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
 BATCH_SIZES = (1, 2, 3, 5, 12)
 FAMILIES = ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9")
 STEPS, H = 2000, 5e-4
 SIGMA_CALLS = 200
 PLAN_PASSES = 200
 SUMMARY_WRITES = 200
-DESIGN_SIZES, DESIGN_SEED, MARGIN, TOL = (30, 39, 33, 36), 1, 0.5, 1e-6
-SWEEP_GAINS = (0.5, 1.0, 1.5, 2.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 50.0)
-SWEEP_ARGV = ["sweep", "fig8b", "--vary", "epsilon", "--values",
-              ",".join(repr(g) for g in SWEEP_GAINS), "--T", "2.0"]
+SWEEP_SEED, DESIGN_SEED = 0, 1
 # The rows with one number per tree and round, and all rows.
 SCALAR_ROWS = ("rhs_us", "reproduce_all_s", "sweep_op_s", "design_query_us", "graph_build_us",
                "sigma_star_us", "plan_build_us", "write_summary_us", "write_full_s")
@@ -123,7 +121,7 @@ def rows(pkg: SimpleNamespace, scratch: Path) -> dict:
     """Per row of one tree: a function doing one measurement's work, and its divisor.
 
     The writer rows write into the directory `scratch`, which must exist."""
-    dynamics, spectral, topology = pkg.dynamics, pkg.spectral, pkg.topology
+    dynamics, topology = pkg.dynamics, pkg.topology
     initial_state = pkg.harness.initial_state
 
     def network(names):
@@ -169,36 +167,29 @@ def rows(pkg: SimpleNamespace, scratch: Path) -> dict:
             for family in FAMILIES:
                 cli(["reproduce", family, "--out", str(Path(out, family))])
 
+    sweep_ba = workloads.SweepBA(pkg, SWEEP_SEED)
+
     def sweep_op():
         with tempfile.TemporaryDirectory() as out:
-            cli(SWEEP_ARGV + ["--out", out])
+            code, _ = sweep_ba.run(0, Path(out))
+        if code != 0:
+            raise RuntimeError(f"sweep_ba's operation exited {code}")
 
     work["reproduce_all_s"] = (reproduce, 1.0)
     work["sweep_op_s"] = (sweep_op, 1.0)
 
-    rng = np.random.Generator(np.random.PCG64(DESIGN_SEED))
-    queries = []
-    for n in DESIGN_SIZES:
-        graph_seed = int(rng.integers(0, 2**63))
-        queries += [(n, graph_seed, "smallest", n // 2), (n, graph_seed, "largest", 3)]
+    design_ba = workloads.DesignBA(pkg, DESIGN_SEED)
 
     def design():
-        for n, graph_seed, strategy, count in queries:
-            g = topology.barabasi_albert(n, 3, 3, graph_seed)
-            A = topology.coupling_matrix(g)
-            pinned = pkg.pinning.plan_by_degree(g, strategy, count, 1.0, 1.0).pinned_nodes
-            gain = spectral.min_uniform_gain(A, pinned, MARGIN, TOL)
-            if gain is not None:
-                spectral.schur_feasible(A, pinned, [gain] * len(pinned), MARGIN)
-                plan = pkg.pinning.plan_explicit(n, {i: gain for i in pinned}, 1.0)
-                spectral.controlled_spectrum(A, plan).lambda_max
+        for k in range(design_ba.n_ops):
+            design_ba.run(k, None)
 
     def graphs():
-        for n, graph_seed, _, _ in queries:
-            topology.barabasi_albert(n, 3, 3, graph_seed)
+        for n, graph_seed, _, _ in design_ba.queries:
+            topology.barabasi_albert(n, design_ba.M0, design_ba.M, graph_seed)
 
-    work["design_query_us"] = (design, len(queries) / 1e6)
-    work["graph_build_us"] = (graphs, len(queries) / 1e6)
+    work["design_query_us"] = (design, design_ba.n_ops / 1e6)
+    work["graph_build_us"] = (graphs, len(design_ba.queries) / 1e6)
 
     def thresholds():
         for _ in range(SIGMA_CALLS):
@@ -324,13 +315,12 @@ def main(argv=None) -> int:
                   f"{STEPS} calls / {STEPS}",
         "reproduce_all_s": "pinnet reproduce of " + ", ".join(FAMILIES)
                            + ", summary artifacts",
-        "sweep_op_s": "sweep_ba's seed-0 operation, pinnet " + " ".join(SWEEP_ARGV)
-                      + " through cli.main into a temporary directory",
-        "design_query_us": f"design_ba's eight seed-{DESIGN_SEED} queries (graph build, "
-                           f"min_uniform_gain, schur_feasible, controlled_spectrum's "
-                           f"lambda_max); one pass / 8",
-        "graph_build_us": f"barabasi_albert for the graphs of design_ba's eight "
-                          f"seed-{DESIGN_SEED} queries; one pass / 8",
+        "sweep_op_s": f"perfbench SweepBA(pkg, {SWEEP_SEED}).run into a fresh temporary "
+                      f"directory",
+        "design_query_us": f"perfbench DesignBA(pkg, {DESIGN_SEED}).run over its queries; "
+                           f"one pass / the query count",
+        "graph_build_us": f"barabasi_albert for the graphs of perfbench DesignBA(pkg, "
+                          f"{DESIGN_SEED}).queries; one pass / the query count",
         "sigma_star_us": f"mode_threshold on fig8b's system; {SIGMA_CALLS} calls / "
                          f"{SIGMA_CALLS}",
         "plan_build_us": f"PlanSpec.build of the shipped scenarios' plan recipes on graphs "
